@@ -4,10 +4,7 @@
 //! default configuration — the same runs all four figure harnesses
 //! consume) at 1/2/4/8 pool workers, recording wall-clock per worker
 //! count and asserting the merged artifact is **byte-identical** across
-//! all of them — parallelism must never change results. Then measures
-//! serve-mode round-trip latency: a client submits small jobs to a local
-//! `darco-fleet` server one at a time and the submit→result wall time
-//! lands in a power-of-two histogram.
+//! all of them — parallelism must never change results.
 //!
 //! Speedup is bounded by the host's CPU count (recorded as `host_cpus`);
 //! on a single-core host every worker count costs the same wall-clock
@@ -15,15 +12,10 @@
 
 use darco::json::JsonWriter;
 use darco_bench::Scale;
-use darco_fleet::{parse_campaign, run_campaign, Pool, Server};
-use darco_obs::Histogram;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use darco_fleet::{parse_campaign, run_campaign, Pool};
 use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Serve-mode round trips measured.
-const ROUND_TRIPS: usize = 30;
 
 fn campaign_json(scale: Scale) -> String {
     format!(
@@ -34,35 +26,6 @@ fn campaign_json(scale: Scale) -> String {
         }}"#,
         scale.0, scale.1
     )
-}
-
-fn serve_latency() -> Histogram {
-    let server = Server::bind("127.0.0.1:0", 2, 8, None).expect("bind job server");
-    let addr = server.local_addr().expect("server address");
-    let stopper = server.stopper();
-    let h = std::thread::spawn(move || server.run());
-    let mut histo = Histogram::default();
-    {
-        let mut c = TcpStream::connect(addr).expect("connect to job server");
-        c.set_nodelay(true).expect("set TCP_NODELAY");
-        let mut reader = BufReader::new(c.try_clone().expect("clone stream"));
-        let mut line = String::new();
-        for _ in 0..ROUND_TRIPS {
-            let t0 = Instant::now();
-            c.write_all(b"{\"op\":\"job\",\"workload\":\"kernel:dot\",\"scale\":\"1/4\"}\n")
-                .expect("send job");
-            // Two lines per job: accepted, then the streamed result.
-            for _ in 0..2 {
-                line.clear();
-                reader.read_line(&mut line).expect("read response");
-            }
-            assert!(line.contains("\"op\":\"result\""), "unexpected response: {line}");
-            histo.record(t0.elapsed().as_micros() as u64);
-        }
-    }
-    stopper();
-    h.join().expect("server thread");
-    histo
 }
 
 fn main() {
@@ -105,15 +68,6 @@ fn main() {
         println!(" the byte-identical merge assertion above is the load-bearing check here)");
     }
 
-    println!("\n== Serve-mode round-trip latency ({ROUND_TRIPS} jobs) ==");
-    let latency = serve_latency();
-    println!(
-        "min {} us, mean {:.0} us, max {} us",
-        latency.min,
-        latency.mean(),
-        latency.max
-    );
-
     let mut w = JsonWriter::new();
     w.begin_obj(None);
     w.field_str("bench", "fleet");
@@ -133,19 +87,6 @@ fn main() {
     w.end_arr();
     w.field_bool("merged_byte_identical", true);
     w.field_f64("speedup_4_workers", speedup_4);
-    w.begin_obj(Some("serve_latency_us"))
-        .field_num("round_trips", ROUND_TRIPS as u64)
-        .field_num("min", latency.min)
-        .field_f64("mean", latency.mean())
-        .field_num("max", latency.max)
-        .end_obj();
-    w.begin_arr(Some("serve_latency_buckets"));
-    for (lo, hi, n) in latency.nonzero_buckets() {
-        let mut b = JsonWriter::new();
-        b.begin_obj(None).field_num("lo_us", lo).field_num("hi_us", hi).field_num("n", n).end_obj();
-        w.elem_raw(&b.finish());
-    }
-    w.end_arr();
     w.end_obj();
     std::fs::write("BENCH_fleet.json", w.finish()).expect("write BENCH_fleet.json");
     println!("wrote BENCH_fleet.json");

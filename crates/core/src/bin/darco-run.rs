@@ -30,9 +30,9 @@ fn usage() -> ! {
            --list                 list suite benchmarks and exit\n\
            --scale N/D            scale iteration counts (default 1/1)\n\
            --timing               attach the in-order timing simulator\n\
-           --timing-mode M        fast|full (default full): `fast` charges\n\
-         \u{20}                        cycle-annotated translated blocks in\n\
-         \u{20}                        O(1) and escapes into the detailed\n\
+           --timing-mode M        fast|full (default full): `fast` replays\n\
+         \u{20}                        memoized per-block schedules and\n\
+         \u{20}                        escapes into the detailed\n\
          \u{20}                        model on misses/mispredicts — cycle\n\
          \u{20}                        counts stay bit-identical to full\n\
            --ooo                  attach the out-of-order core instead\n\

@@ -20,7 +20,6 @@ use crate::profiler::Profiler;
 use crate::system::{DarcoError, RunReport, SinkChoice, SystemConfig, TimingMode};
 use darco_guest::{Fault, GuestProgram, Wire, WireError, WireReader};
 use darco_host::sink::{InsnSink, NullSink, RetireEvent};
-use darco_host::HInsn;
 use darco_obs::{Registry, Tracer};
 use darco_power::EnergyModel;
 use darco_timing::{FastTimer, InOrderCore, OooCore};
@@ -42,10 +41,10 @@ pub enum StepExit {
 
 /// Snapshot format magic (`DARCOSNP`, little-endian).
 const SNAP_MAGIC: u64 = u64::from_le_bytes(*b"DARCOSNP");
-/// Snapshot format version. v3: the TOL body carries per-translation
-/// static cycle annotations (and their `TolStats` aggregate), and sink
-/// tag 3 (`fast`) exists.
-const SNAP_VERSION: u32 = 3;
+/// Snapshot format version. v4: translations and `TolStats` carry no
+/// static cycle figure, and the `fast` sink body (tag 3) carries no
+/// install counters.
+const SNAP_VERSION: u32 = 4;
 
 /// A serialized checkpoint of a running engine.
 ///
@@ -165,15 +164,6 @@ impl InsnSink for Sink {
             Sink::InOrder(s) => s.retire_block(events, complete),
             Sink::Ooo(s) => s.retire_block(events, complete),
             Sink::Fast(s) => s.retire_block(events, complete),
-        }
-    }
-
-    fn install_note(&mut self, host_base: u64, code: &[HInsn]) -> Option<u64> {
-        match self {
-            Sink::Null(s) => s.install_note(host_base, code),
-            Sink::InOrder(s) => s.install_note(host_base, code),
-            Sink::Ooo(s) => s.install_note(host_base, code),
-            Sink::Fast(s) => s.install_note(host_base, code),
         }
     }
 }
@@ -746,6 +736,32 @@ mod tests {
         let (tb, tp) = (rb.timing.unwrap(), rp.timing.unwrap());
         assert_eq!(tb.cycles, tp.cycles, "timing state carries over exactly");
         assert_eq!(tb.il1_misses, tp.il1_misses);
+    }
+
+    #[test]
+    fn old_versions_and_bad_magic_are_refused() {
+        let mut cfg = hot_cfg();
+        cfg.sink = crate::SinkChoice::InOrder;
+        cfg.timing_mode = crate::TimingMode::Fast;
+        let mut a = System::new(cfg.clone(), loop_program(3000)).start();
+        assert_eq!(a.step(1000).unwrap(), StepExit::Yielded);
+        let good = a.checkpoint().unwrap();
+        let mut b = System::new(cfg, loop_program(3000)).start();
+        b.restore(&good).unwrap();
+
+        // Header: magic (8 bytes), then the version (u32 LE).
+        let mut v3 = good.as_bytes().to_vec();
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let mut bad_magic = good.as_bytes().to_vec();
+        bad_magic[0] ^= 0xff;
+        for bytes in [v3, bad_magic] {
+            let parsed = Snapshot::from_bytes(bytes.clone());
+            assert!(matches!(parsed, Err(DarcoError::Protocol(_))), "{parsed:?}");
+            // `from_bytes` is not the only way in: `restore` checks too.
+            let forged = Snapshot { bytes, ..good.clone() };
+            let restored = b.restore(&forged);
+            assert!(matches!(restored, Err(DarcoError::Protocol(_))), "{restored:?}");
+        }
     }
 
     #[test]

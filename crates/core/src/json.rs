@@ -91,8 +91,6 @@ pub fn report_to_json_with(r: &RunReport, extras: &[(&str, &str)]) -> String {
             .field_num("learns", f.learns)
             .field_num("plain_blocks", f.plain_blocks)
             .field_num("memo_clears", f.memo_clears)
-            .field_num("installs", f.installs)
-            .field_num("static_cycles", f.static_cycles)
             .end_obj();
     } else {
         w.field_null("fast");

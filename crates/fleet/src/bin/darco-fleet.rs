@@ -1,8 +1,7 @@
-//! `darco-fleet` — run campaigns in parallel, or serve jobs over TCP.
+//! `darco-fleet` — run campaigns in parallel.
 //!
 //! ```text
 //! darco-fleet run campaign.json --jobs 4 --out merged.json --flight-dir flights/
-//! darco-fleet serve --addr 127.0.0.1:7077 --jobs 8 --queue-cap 32
 //! ```
 //!
 //! `run` executes a campaign on cooperative engine workers — each worker
@@ -16,12 +15,10 @@
 //! 1 when any failed/panicked/timed out/was skipped, 2 on usage or
 //! campaign errors.
 //!
-//! `serve` starts the JSON-lines job server (see `darco_fleet::server`)
-//! on the work-stealing pool. SIGINT shuts down gracefully: running jobs
-//! finish (`run` mode checkpoints live engines when a state dir is set),
-//! queued jobs drain as `skipped`.
+//! SIGINT shuts down gracefully: running jobs finish (live engines are
+//! checkpointed when a state dir is set), queued jobs drain as `skipped`.
 
-use darco_fleet::{parse_campaign, run_campaign_cooperative, signal, LiveHub, SchedOpts, Server};
+use darco_fleet::{parse_campaign, run_campaign_cooperative, signal, LiveHub, SchedOpts};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
@@ -33,8 +30,6 @@ fn usage() -> ! {
          \u{20} darco-fleet run <campaign.json> [--jobs N] [--out FILE]\n\
          \u{20}             [--flight-dir DIR] [--quantum N]\n\
          \u{20}             [--state-dir DIR] [--resume DIR] [--live ADDR]\n\
-         \u{20} darco-fleet serve --addr HOST:PORT [--jobs N] [--queue-cap N]\n\
-         \u{20}             [--flight-dir DIR]\n\
          \n\
          \u{20} --jobs N        worker threads (default: available parallelism)\n\
          \u{20} --out FILE      write the merged artifact here (default: stdout)\n\
@@ -47,8 +42,7 @@ fn usage() -> ! {
          \u{20}                 (implies --state-dir D): finished jobs are\n\
          \u{20}                 reused, checkpointed jobs restored mid-run\n\
          \u{20} --live ADDR     stream live telemetry (JSON lines) on ADDR;\n\
-         \u{20}                 attach with `darco-top ADDR` (run)\n\
-         \u{20} --queue-cap N   backpressure bound on unstarted jobs (serve)"
+         \u{20}                 attach with `darco-top ADDR`"
     );
     std::process::exit(2);
 }
@@ -61,11 +55,9 @@ struct Opts {
     jobs: usize,
     out: Option<PathBuf>,
     flight_dir: Option<PathBuf>,
-    queue_cap: Option<usize>,
     quantum: u64,
     state_dir: Option<PathBuf>,
     resume: bool,
-    addr: Option<String>,
     live: Option<String>,
     positional: Vec<String>,
 }
@@ -75,11 +67,9 @@ fn parse_opts(args: &[String]) -> Opts {
         jobs: default_jobs(),
         out: None,
         flight_dir: None,
-        queue_cap: None,
         quantum: SchedOpts::default().quantum,
         state_dir: None,
         resume: false,
-        addr: None,
         live: None,
         positional: Vec::new(),
     };
@@ -93,9 +83,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--jobs" => o.jobs = take(&mut i).parse().ok().filter(|&n| n > 0).unwrap_or_else(|| usage()),
             "--out" => o.out = Some(PathBuf::from(take(&mut i))),
             "--flight-dir" => o.flight_dir = Some(PathBuf::from(take(&mut i))),
-            "--queue-cap" => {
-                o.queue_cap = Some(take(&mut i).parse().ok().filter(|&n| n > 0).unwrap_or_else(|| usage()))
-            }
             "--quantum" => {
                 o.quantum = take(&mut i).parse().ok().filter(|&n| n > 0).unwrap_or_else(|| usage())
             }
@@ -104,7 +91,6 @@ fn parse_opts(args: &[String]) -> Opts {
                 o.state_dir = Some(PathBuf::from(take(&mut i)));
                 o.resume = true;
             }
-            "--addr" => o.addr = Some(take(&mut i)),
             "--live" => o.live = Some(take(&mut i)),
             a if a.starts_with("--") => usage(),
             a => o.positional.push(a.to_string()),
@@ -224,41 +210,12 @@ fn cmd_run(o: &Opts) -> ExitCode {
     }
 }
 
-fn cmd_serve(o: &Opts) -> ExitCode {
-    let Some(addr) = &o.addr else { usage() };
-    if !o.positional.is_empty() {
-        usage();
-    }
-    if let Some(d) = &o.flight_dir {
-        if let Err(e) = std::fs::create_dir_all(d) {
-            eprintln!("darco-fleet: cannot create {}: {e}", d.display());
-            return ExitCode::from(2);
-        }
-    }
-    let server =
-        match Server::bind(addr, o.jobs, o.queue_cap.unwrap_or(o.jobs * 4), o.flight_dir.clone()) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("darco-fleet: cannot bind {addr}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-    match server.local_addr() {
-        Ok(a) => eprintln!("darco-fleet: serving on {a} with {} workers", o.jobs),
-        Err(_) => eprintln!("darco-fleet: serving on {addr} with {} workers", o.jobs),
-    }
-    watch_sigint(server.stopper());
-    server.run();
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(mode) = args.first() else { usage() };
     let o = parse_opts(&args[1..]);
     match mode.as_str() {
         "run" => cmd_run(&o),
-        "serve" => cmd_serve(&o),
         _ => usage(),
     }
 }

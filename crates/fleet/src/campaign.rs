@@ -183,38 +183,6 @@ fn expand_workload_names(names: &[JsonValue], ctx: &str) -> Result<Vec<String>, 
     Ok(out)
 }
 
-/// Parses a single job object (the `serve` wire format: same shape as a
-/// campaign `jobs[]` entry) into a [`JobSpec`] with the given id.
-/// Defaults when omitted: kind `run`, scale `1/1`, no timeout, no
-/// retries.
-///
-/// # Errors
-/// Unknown keys/workloads/kinds, with the offending path.
-pub fn job_from_json(v: &JsonValue, id: u64) -> Result<JobSpec, String> {
-    let defaults = Defaults::default();
-    // The wire envelope carries `"op":"job"`; drop it before treating the
-    // rest as a campaign job entry.
-    let stripped = match v {
-        JsonValue::Obj(m) => {
-            JsonValue::Obj(m.iter().filter(|(k, _)| k != "op").cloned().collect())
-        }
-        other => other.clone(),
-    };
-    let e = parse_job_entry(&stripped, "job")?;
-    let scale = e.scale.unwrap_or(defaults.scale);
-    crate::workload::resolve(&e.workload, scale).map(|_| ()).map_err(|err| format!("job: {err}"))?;
-    Ok(JobSpec {
-        id,
-        workload: e.workload,
-        kind: e.kind.unwrap_or(defaults.kind),
-        cfg: build_config(&defaults, e.config.as_ref(), "job")?,
-        scale,
-        timeout_ms: e.timeout_ms.unwrap_or(defaults.timeout_ms),
-        retries: e.retries.unwrap_or(defaults.retries),
-        tag: e.tag,
-    })
-}
-
 /// Parses and expands a campaign document.
 ///
 /// # Errors

@@ -60,7 +60,7 @@ pub struct JobSpec {
     /// Extra attempts after a timeout (a deterministic failure — panic or
     /// validation error — is never retried: it would fail identically).
     pub retries: u32,
-    /// Client-chosen label echoed in server responses.
+    /// Caller-chosen label echoed in the job's result.
     pub tag: Option<String>,
 }
 

@@ -28,7 +28,6 @@ pub mod live;
 pub mod pool;
 pub mod runner;
 pub mod sched;
-pub mod server;
 pub mod signal;
 pub mod workload;
 
@@ -38,7 +37,6 @@ pub use live::LiveHub;
 pub use pool::{Pool, TaskError};
 pub use runner::{execute_job, merge_results, run_campaign, CampaignOutcome};
 pub use sched::{run_campaign_cooperative, SchedOpts};
-pub use server::Server;
 pub use workload::{resolve, Resolved};
 
 /// The deterministic-metric predicate: `true` for metric names that are

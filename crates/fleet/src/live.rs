@@ -2,11 +2,11 @@
 //!
 //! The merged campaign artifact is an *end-of-run* surface; a multi-hour
 //! campaign is invisible while it runs. This module adds the live side:
-//! the cooperative scheduler (and the job server) publish small JSON
+//! the cooperative scheduler (and the fuzz campaign) publish small JSON
 //! events into a [`LiveHub`], which fans them out to any number of
 //! subscribers — `darco-top` dashboards attached over TCP
-//! (`darco-fleet run --live ADDR`) or `watch`-subscribed server
-//! connections.
+//! (`darco-fleet run --live ADDR`) or in-process line channels
+//! ([`LiveHub::subscribe_channel`]).
 //!
 //! ## The stream protocol
 //!
@@ -62,8 +62,7 @@ enum Sub {
     /// TCP subscriber fed through a bounded channel (its writer thread
     /// owns the socket); full queue drops the event.
     Bounded(mpsc::SyncSender<String>),
-    /// Server-connection subscriber sharing the connection's (unbounded)
-    /// writer channel.
+    /// In-process subscriber on an unbounded line channel.
     Unbounded(mpsc::Sender<String>),
 }
 
@@ -88,7 +87,7 @@ struct HubInner {
 }
 
 /// The fan-out hub (see the module docs). Shared as `Arc<LiveHub>`
-/// between the publisher (scheduler/server) and the subscriber intake.
+/// between the publisher and the subscriber intake.
 pub struct LiveHub {
     inner: Mutex<HubInner>,
     t0: Instant,
@@ -103,7 +102,7 @@ impl std::fmt::Debug for LiveHub {
 
 impl LiveHub {
     /// A hub with no listener of its own — subscribers arrive through
-    /// [`LiveHub::subscribe_channel`] (the server's `watch` op).
+    /// [`LiveHub::subscribe_channel`].
     pub fn detached() -> Arc<LiveHub> {
         Arc::new(LiveHub {
             inner: Mutex::new(HubInner { subs: Vec::new(), model: BTreeMap::new() }),
@@ -156,9 +155,8 @@ impl LiveHub {
         self.t0.elapsed().as_millis() as u64
     }
 
-    /// Subscribes an existing line channel (a server connection's writer
-    /// queue): the catch-up replay and `sync` marker are queued
-    /// immediately, live events follow.
+    /// Subscribes an existing line channel: the catch-up replay and
+    /// `sync` marker are queued immediately, live events follow.
     pub fn subscribe_channel(&self, tx: mpsc::Sender<String>) {
         self.attach(Sub::Unbounded(tx));
     }

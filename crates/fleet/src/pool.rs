@@ -14,9 +14,9 @@
 //!
 //! Every task runs under `catch_unwind`: a panicking job can never take
 //! a worker thread (and with it the whole campaign) down. Poisoning the
-//! pool ([`Pool::poison`], wired to SIGINT by the `darco-fleet` binary)
-//! makes [`Pool::map`] mark not-yet-started items as skipped while
-//! letting in-flight jobs finish — graceful shutdown, not abandonment.
+//! pool ([`Pool::poison`]) makes [`Pool::map`] mark not-yet-started
+//! items as skipped while letting in-flight jobs finish — graceful
+//! shutdown, not abandonment.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -118,13 +118,7 @@ impl Pool {
         Pool { shared, workers: handles }
     }
 
-    /// The number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.shared.deques.len()
-    }
-
-    /// Unstarted tasks currently held (the queue-depth a server reports
-    /// for backpressure decisions).
+    /// Unstarted tasks currently held.
     pub fn queued(&self) -> usize {
         self.shared.state.lock().unwrap().queued
     }
@@ -136,22 +130,9 @@ impl Pool {
 
     /// Marks the pool poisoned: in-flight tasks finish, queued tasks
     /// still run but [`Pool::map`] items that have not started resolve to
-    /// [`TaskError::Skipped`] (task closures consult
-    /// [`Pool::is_poisoned`] through their captured handle).
+    /// [`TaskError::Skipped`].
     pub fn poison(&self) {
         self.shared.poison.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether [`Pool::poison`] was called (or a SIGINT handler did).
-    pub fn is_poisoned(&self) -> bool {
-        self.shared.poison.load(Ordering::SeqCst)
-    }
-
-    /// A cloneable handle that poisons the pool from another thread —
-    /// what the `darco-fleet` binary hands its SIGINT watcher.
-    pub fn poisoner(&self) -> impl Fn() + Send + Sync + 'static {
-        let sh = Arc::clone(&self.shared);
-        move || sh.poison.store(true, Ordering::SeqCst)
     }
 
     /// Submits one task, blocking while the queue is at capacity.

@@ -33,7 +33,7 @@ pub struct Lane {
 /// translating lane (the interpreter lane never translates, so it acts
 /// as the unperturbed reference either way). The last two lanes run the
 /// identical configuration under the detailed and the accelerated
-/// (cycle-annotated) timing paths: beyond agreeing with every other
+/// (block-memoizing) timing paths: beyond agreeing with every other
 /// lane on final guest state, the pair must agree with *each other*
 /// bit-for-bit on retired events and cycles.
 pub fn lanes(inject: Option<Injection>) -> Vec<Lane> {

@@ -355,7 +355,7 @@ pub fn decode(bytes: &[u8]) -> Result<(Insn, usize), DecodeError> {
             let b = c.u8()?;
             Insn::Load {
                 dst: Gpr::from_index((b >> 4) as usize & 7),
-                width: Width::from_index((b >> 1) as usize & 3),
+                width: width(b >> 1, op)?,
                 sign: b & 1 != 0,
                 addr: c.addr()?,
             }
@@ -364,12 +364,12 @@ pub fn decode(bytes: &[u8]) -> Result<(Insn, usize), DecodeError> {
             let b = c.u8()?;
             Insn::Store {
                 src: Gpr::from_index((b >> 4) as usize & 7),
-                width: Width::from_index((b >> 1) as usize & 3),
+                width: width(b >> 1, op)?,
                 addr: c.addr()?,
             }
         }
         OP_STORE_I => {
-            let width = Width::from_index(c.u8()? as usize & 3);
+            let width = width(c.u8()?, op)?;
             let addr = c.addr()?;
             Insn::StoreI { addr, imm: c.i32()?, width }
         }
@@ -607,6 +607,14 @@ fn alu_op(bits: u8, op: u8) -> Result<AluOp, DecodeError> {
     Ok(AluOp::from_index(bits as usize))
 }
 
+fn width(bits: u8, op: u8) -> Result<Width, DecodeError> {
+    let bits = bits & 3;
+    if bits > Width::D as u8 {
+        return Err(DecodeError::BadOpcode(op));
+    }
+    Ok(Width::from_index(bits as usize))
+}
+
 fn shift_op(bits: u8, op: u8) -> Result<ShiftOp, DecodeError> {
     if bits as usize >= ShiftOp::ALL.len() {
         return Err(DecodeError::BadOpcode(op));
@@ -746,6 +754,26 @@ mod tests {
             let (got, glen) = decode(&buf).expect("decode");
             assert_eq!(got, insn);
             assert_eq!(glen, len, "{insn:?}");
+        }
+    }
+
+    #[test]
+    fn decode_never_panics_on_two_byte_prefixes() {
+        // Guest code is untrusted input: a program may jump into data.
+        let mut buf = [0u8; MAX_INSN_LEN];
+        for op in 0..=255u8 {
+            for b in 0..=255u8 {
+                buf[0] = op;
+                buf[1] = b;
+                if let Ok((_, len)) = decode(&buf) {
+                    assert!(len <= buf.len(), "[{op:#04x}, {b:#04x}] overran: {len}");
+                }
+            }
+        }
+        for (op, b) in [(OP_LOAD, 3 << 1), (OP_STORE, 3 << 1), (OP_STORE_I, 3)] {
+            buf[0] = op;
+            buf[1] = b;
+            assert_eq!(decode(&buf), Err(DecodeError::BadOpcode(op)), "width 3 under {op:#04x}");
         }
     }
 

@@ -111,18 +111,6 @@ pub trait InsnSink {
             self.retire(ev);
         }
     }
-
-    /// Notification that a translation was installed into the code cache at
-    /// word address `host_base`, with its code body. Timing sinks use this
-    /// to statically annotate the translation with its steady-state
-    /// (miss-free, predicted) cycle cost, which the software layer stamps
-    /// on the cache entry. Returns that cost, or `None` for sinks that
-    /// don't annotate.
-    #[inline]
-    fn install_note(&mut self, host_base: u64, code: &[crate::insn::HInsn]) -> Option<u64> {
-        let _ = (host_base, code);
-        None
-    }
 }
 
 impl<S: InsnSink + ?Sized> InsnSink for &mut S {
@@ -144,11 +132,6 @@ impl<S: InsnSink + ?Sized> InsnSink for &mut S {
     #[inline]
     fn retire_block(&mut self, events: &[RetireEvent], complete: bool) {
         (**self).retire_block(events, complete);
-    }
-
-    #[inline]
-    fn install_note(&mut self, host_base: u64, code: &[crate::insn::HInsn]) -> Option<u64> {
-        (**self).install_note(host_base, code)
     }
 }
 
@@ -189,11 +172,6 @@ impl InsnSink for DynSink<'_> {
     #[inline]
     fn retire_block(&mut self, events: &[RetireEvent], complete: bool) {
         self.0.retire_block(events, complete);
-    }
-
-    #[inline]
-    fn install_note(&mut self, host_base: u64, code: &[crate::insn::HInsn]) -> Option<u64> {
-        self.0.install_note(host_base, code)
     }
 }
 

@@ -41,13 +41,6 @@ impl Gshare {
         (self.pht[self.index(pc)] >= 2) == taken
     }
 
-    /// Zeroes the global history register (PHT and counters are kept).
-    /// The static annotator uses this between its training passes so the
-    /// PHT entries trained by one pass are the ones indexed by the next.
-    pub fn reset_history(&mut self) {
-        self.ghr = 0;
-    }
-
     /// Updates with the actual outcome; returns whether the prediction
     /// was correct.
     pub fn update(&mut self, pc: u64, taken: bool) -> bool {

@@ -550,10 +550,6 @@ impl InsnSink for InOrderCore {
     fn retire(&mut self, ev: &RetireEvent) {
         self.consume(ev);
     }
-
-    fn install_note(&mut self, host_base: u64, code: &[darco_host::insn::HInsn]) -> Option<u64> {
-        Some(crate::annotate::annotate(&self.cfg, host_base, code))
-    }
 }
 
 #[cfg(test)]

@@ -29,10 +29,8 @@
 
 use std::collections::HashMap;
 
-use crate::annotate;
 use crate::config::TimingConfig;
 use crate::core::{InOrderCore, TimingStats, Usage};
-use darco_host::insn::HInsn;
 use darco_host::sink::{EventKind, InsnSink, RetireEvent};
 
 /// Blocks longer than this are not memoized (replayed in full instead);
@@ -107,24 +105,18 @@ pub struct FastStats {
     pub plain_blocks: u64,
     /// Times the memo table hit its capacity and was reset.
     pub memo_clears: u64,
-    /// Translations statically annotated at install time.
-    pub installs: u64,
-    /// Sum of static cycle annotations over installed translations.
-    pub static_cycles: u64,
 }
 
 impl FastStats {
     /// Registers the telemetry as counters under `prefix`.
     pub fn register_into(&self, reg: &mut darco_obs::Registry, prefix: &str) {
-        let fields: [(&str, u64); 8] = [
+        let fields: [(&str, u64); 6] = [
             ("memo_blocks", self.memo_blocks),
             ("memo_events", self.memo_events),
             ("escapes", self.escapes),
             ("learns", self.learns),
             ("plain_blocks", self.plain_blocks),
             ("memo_clears", self.memo_clears),
-            ("installs", self.installs),
-            ("static_cycles", self.static_cycles),
         ];
         for (name, v) in fields {
             reg.set_counter(&format!("{prefix}.{name}"), v);
@@ -179,8 +171,6 @@ impl FastTimer {
             self.stats.learns,
             self.stats.plain_blocks,
             self.stats.memo_clears,
-            self.stats.installs,
-            self.stats.static_cycles,
         ] {
             w.put_u64(v);
         }
@@ -199,8 +189,6 @@ impl FastTimer {
         self.stats.learns = r.get_u64()?;
         self.stats.plain_blocks = r.get_u64()?;
         self.stats.memo_clears = r.get_u64()?;
-        self.stats.installs = r.get_u64()?;
-        self.stats.static_cycles = r.get_u64()?;
         self.memo.clear();
         Ok(())
     }
@@ -544,13 +532,6 @@ impl InsnSink for FastTimer {
             None => stats.plain_blocks += 1,
         }
     }
-
-    fn install_note(&mut self, host_base: u64, code: &[HInsn]) -> Option<u64> {
-        let c = annotate::annotate(&self.core.cfg, host_base, code);
-        self.stats.installs += 1;
-        self.stats.static_cycles += c;
-        Some(c)
-    }
 }
 
 #[cfg(test)]
@@ -697,20 +678,5 @@ mod tests {
             resumed.retire_block(&b, true);
         }
         assert_eq!(resumed.stats(), fast.stats(), "restored timer continues identically");
-    }
-
-    #[test]
-    fn install_note_annotates_and_counts() {
-        use darco_host::insn::{HAluOp, HInsn};
-        use darco_host::regs::HReg;
-        let mut fast = FastTimer::new(TimingConfig::default());
-        let code = [
-            HInsn::AluI { op: HAluOp::Add, rd: HReg(16), ra: HReg(16), imm: 1 },
-            HInsn::TolExit { id: 0 },
-        ];
-        let c = fast.install_note(0x40, &code).expect("timing sinks annotate");
-        assert!(c > 0);
-        let fs = fast.fast_stats();
-        assert_eq!((fs.installs, fs.static_cycles), (1, c));
     }
 }

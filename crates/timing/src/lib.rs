@@ -17,7 +17,6 @@
 //! microarchitecture styles can be compared on identical instruction
 //! streams (ablation A4).
 
-pub mod annotate;
 pub mod bpred;
 pub mod cache;
 pub mod config;

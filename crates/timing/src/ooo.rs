@@ -434,13 +434,6 @@ impl InsnSink for OooCore {
     fn retire(&mut self, ev: &RetireEvent) {
         self.consume(ev);
     }
-
-    fn install_note(&mut self, host_base: u64, code: &[darco_host::insn::HInsn]) -> Option<u64> {
-        // The annotation is defined on the in-order model regardless of the
-        // consuming core, so fast/full/ooo stamp identical values and
-        // reports stay comparable across sink choices.
-        Some(crate::annotate::annotate(&self.cfg, host_base, code))
-    }
 }
 
 #[cfg(test)]

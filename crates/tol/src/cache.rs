@@ -55,11 +55,6 @@ pub struct Translation {
     pub shape: Option<SbShape>,
     /// Still dispatchable?
     pub valid: bool,
-    /// Steady-state (miss-free, predicted) cycle cost of the main path,
-    /// stamped at install time by the timing sink's static annotator
-    /// ([`darco_host::sink::InsnSink::install_note`]); 0 when no timing
-    /// sink is attached.
-    pub static_cycles: u64,
 }
 
 /// The code cache.
@@ -382,7 +377,6 @@ impl CodeCache {
                 w.put_u8(s.unroll);
             }
             w.put_bool(t.valid);
-            w.put_u64(t.static_cycles);
         }
         let mut chains: Vec<_> = self.chains_in.iter().collect();
         chains.sort_by_key(|(id, _)| **id);
@@ -521,7 +515,6 @@ impl CodeCache {
                 None
             };
             let valid = r.get_bool()?;
-            let static_cycles = r.get_u64()?;
             translations.push(Translation {
                 guest_pc,
                 kind,
@@ -535,7 +528,6 @@ impl CodeCache {
                 spec_fails,
                 shape,
                 valid,
-                static_cycles,
             });
         }
         let n_chains = r.get_usize()?;
@@ -664,7 +656,6 @@ mod tests {
             spec_fails: 0,
             shape: None,
             valid: true,
-            static_cycles: 0,
         };
         (t, code)
     }

@@ -232,9 +232,8 @@ impl TolStats {
     /// (empty prefix → bare field names). This is the single source both
     /// the debug JSON and `darco-run --json`/`--metrics` serialize from.
     pub fn register_into(&self, reg: &mut Registry, prefix: &str) {
-        let fields: [(&str, u64); 20] = [
+        let fields: [(&str, u64); 19] = [
             ("guest_im", self.guest_im),
-            ("static_cycles", self.static_cycles),
             ("translations_bb", self.translations_bb),
             ("translations_sb", self.translations_sb),
             ("recreations", self.recreations),
@@ -335,7 +334,7 @@ mod tests {
         assert_eq!(reg.counter_value("tol.spec_rollbacks"), Some(7));
         assert_eq!(reg.counter_value("tol.guest_im"), Some(0));
         let (counters, _, _) = reg.sizes();
-        assert_eq!(counters, 20 + darco_ir::KIND_COUNT);
+        assert_eq!(counters, 19 + darco_ir::KIND_COUNT);
     }
 
     #[test]

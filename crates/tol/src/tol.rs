@@ -256,9 +256,6 @@ pub struct TolStats {
     /// Wall-clock nanoseconds spent translating (BBM + SBM, including
     /// optimization, verification and code generation).
     pub translate_nanos: u64,
-    /// Sum of static cycle annotations over installed translations (the
-    /// timing sink's steady-state cost stamps; 0 with a null sink).
-    pub static_cycles: u64,
 }
 
 enum CacheOutcome {
@@ -1227,17 +1224,10 @@ impl Tol {
                 needs_flags_mask |= 1 << j;
             }
         }
-        // Static cycle annotation (accelerated timing): the timing sink
-        // measures the steady-state cost of the translation body now, at
-        // install time, and the cost is stamped on the cache entry. Null
-        // sinks return None and the stamp stays 0.
-        let host_base = self.cache.next_base();
-        let static_cycles = sink.install_note(host_base as u64, &out.code).unwrap_or(0);
-        self.stats.static_cycles += static_cycles;
         let t = Translation {
             guest_pc: region.guest_entry_pc,
             kind,
-            host_base,
+            host_base: self.cache.next_base(),
             len: 0,
             encoded_words: out.encoded_words,
             exits: out.exits,
@@ -1247,7 +1237,6 @@ impl Tol {
             spec_fails: 0,
             shape,
             valid: true,
-            static_cycles,
         };
         let guest_pc = region.guest_entry_pc;
         let encoded_words = out.encoded_words;
@@ -1352,7 +1341,6 @@ impl Tol {
             // its real values; only the wire image is normalized.
             0, // s.verify_nanos
             0, // s.translate_nanos
-            s.static_cycles,
         ] {
             w.put_u64(v);
         }
@@ -1473,7 +1461,6 @@ impl Tol {
             verify_findings: r.get_u64()?,
             verify_nanos: r.get_u64()?,
             translate_nanos: r.get_u64()?,
-            static_cycles: r.get_u64()?,
             ..TolStats::default()
         };
         for v in &mut stats.verify_by_kind {

@@ -8,8 +8,8 @@
 //! ```
 //!
 //! The stream is the JSON-lines protocol published by
-//! `darco-fleet run --live ADDR` (and the `watch` op of
-//! `darco-fleet serve`). All state folding and rendering live in the
+//! `darco-fleet run --live ADDR` (and `darco-fuzz run --live ADDR`).
+//! All state folding and rendering live in the
 //! library ([`darco_top::Model`]); this binary only moves bytes:
 //! connect with retry, tee to `--record`, repaint between line batches.
 //!

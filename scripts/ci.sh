@@ -4,6 +4,9 @@
 #   build  — release build of every crate (including the bench binaries)
 #   test   — full workspace test suite
 #   lint   — clippy with -D warnings on the whole workspace
+#   benchmark — build the standalone benchmark package (benchmark/, outside
+#            the workspace, so the stages above never compile it) and run
+#            its tests, including the every-workload smoke run
 #   verify — darco-lint static verification over every workload
 #   semantic — darco-lint --semantic (symbolic translation validation)
 #            over every workload on both backends, plus the
@@ -28,7 +31,7 @@
 #   live   — darco-fleet run --live with a one-shot darco-top --once
 #            attach (required dashboard fields) + a --replay re-render
 #            of the recorded stream
-#   timing — two-speed timing gate: the accelerated (cycle-annotated)
+#   timing — two-speed timing gate: the accelerated (block-memoizing)
 #            path must match the detailed model bit-for-bit on whole
 #            runs; the committed BENCH_timing.json must pass its stated
 #            error bound and cost-reduction floors; sampling artifacts
@@ -67,6 +70,12 @@ stage_done
 
 stage "lint (clippy -D warnings, whole workspace)"
 cargo clippy --workspace --all-targets -q -- -D warnings
+stage_done
+
+# benchmark/ depends on crates/* by path but is its own package: an API
+# change in crates/* that breaks it only shows up here.
+stage "benchmark (build + smoke test of the standalone benchmark package)"
+cargo test --manifest-path benchmark/Cargo.toml -q
 stage_done
 
 # Every translation the suite produces must pass the static verifier
