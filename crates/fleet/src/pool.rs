@@ -73,8 +73,6 @@ struct Shared {
     deques: Vec<Mutex<VecDeque<Task>>>,
     /// Round-robin deal cursor.
     next: AtomicUsize,
-    /// Tasks currently executing (drain accounting).
-    active: AtomicUsize,
     poison: AtomicBool,
     queue_cap: usize,
 }
@@ -102,7 +100,6 @@ impl Pool {
             space: Condvar::new(),
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             next: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
             poison: AtomicBool::new(false),
             queue_cap: queue_cap.max(1),
         });
@@ -116,16 +113,6 @@ impl Pool {
             })
             .collect();
         Pool { shared, workers: handles }
-    }
-
-    /// Unstarted tasks currently held.
-    pub fn queued(&self) -> usize {
-        self.shared.state.lock().unwrap().queued
-    }
-
-    /// Tasks currently executing on workers.
-    pub fn active(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
     }
 
     /// Marks the pool poisoned: in-flight tasks finish, queued tasks
@@ -264,13 +251,11 @@ fn worker_loop(me: usize, sh: &Shared) {
             }
             std::thread::yield_now();
         };
-        sh.active.fetch_add(1, Ordering::SeqCst);
         // Tasks wrap their own payloads in catch_unwind to produce typed
         // failures; this outer guard is the last line of defense so an
         // unexpected panic in the bookkeeping itself cannot kill the
         // worker.
         let _ = catch_unwind(AssertUnwindSafe(task));
-        sh.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -311,38 +296,39 @@ mod tests {
     #[test]
     fn backpressure_bounds_the_queue() {
         let pool = Pool::with_queue_cap(1, 2);
+        let started = Arc::new(AtomicBool::new(false));
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        // Block the lone worker.
-        let g = Arc::clone(&gate);
+        // Block the lone worker; the blocker reports when it has started.
+        let (s, g) = (Arc::clone(&started), Arc::clone(&gate));
         pool.submit(move || {
+            s.store(true, Ordering::SeqCst);
             let (l, cv) = &*g;
             let mut open = l.lock().unwrap();
             while !*open {
                 open = cv.wait(open).unwrap();
             }
         });
-        // Give the worker a moment to claim the blocker, then fill the
-        // queue to its bound.
-        while pool.active() == 0 {
+        while !started.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
+        // Fill the queue to its bound.
         pool.submit(|| {});
         pool.submit(|| {});
-        assert_eq!(pool.queued(), 2);
-        // A further submit must block until the worker unblocks.
-        let t0 = std::time::Instant::now();
-        let g = Arc::clone(&gate);
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(60));
-            let (l, cv) = &*g;
-            *l.lock().unwrap() = true;
-            cv.notify_all();
+        // A further submit must block until the worker is released: the
+        // releaser sets `released` before opening the gate, so a submit
+        // that returns while it is still false did not wait for room.
+        let released = AtomicBool::new(false);
+        std::thread::scope(|sc| {
+            sc.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                released.store(true, Ordering::SeqCst);
+                let (l, cv) = &*gate;
+                *l.lock().unwrap() = true;
+                cv.notify_all();
+            });
+            pool.submit(|| {});
+            assert!(released.load(Ordering::SeqCst), "submit returned while the queue was full");
         });
-        pool.submit(|| {});
-        assert!(
-            t0.elapsed() >= std::time::Duration::from_millis(40),
-            "submit returned before the queue had room"
-        );
         pool.join();
     }
 

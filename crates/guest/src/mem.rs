@@ -485,7 +485,8 @@ impl GuestMem {
     /// # Errors
     /// Propagates wire decode failures (truncated/malformed snapshot).
     pub fn restore_from(&mut self, r: &mut crate::wire::WireReader<'_>) -> Result<(), crate::wire::WireError> {
-        let n = r.get_usize()?;
+        // Each page encodes as its number, a length and PAGE_SIZE bytes.
+        let n = r.get_count(4 + 8 + PAGE_SIZE as usize)?;
         let mut page_map = BTreeMap::new();
         let mut slots = Vec::with_capacity(n);
         for _ in 0..n {

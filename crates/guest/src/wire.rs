@@ -243,12 +243,25 @@ impl<'a> WireReader<'a> {
     /// [`WireError::Truncated`] / [`WireError::Malformed`] on an
     /// impossible length.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
+        let n = self.get_count(1)?;
+        Ok(self.take(n, "bytes")?.to_vec())
+    }
+
+    /// Reads an element count for a sequence whose items each encode to
+    /// at least `min_item_bytes` bytes, so a caller may pre-allocate
+    /// `n` items without trusting the stream: a count the remaining bytes
+    /// cannot possibly hold is rejected before anything is allocated.
+    ///
+    /// # Errors
+    /// [`WireError::Truncated`], or [`WireError::Malformed`] when
+    /// `n > remaining() / min_item_bytes`.
+    pub fn get_count(&mut self, min_item_bytes: usize) -> Result<usize, WireError> {
         let at = self.pos;
         let n = self.get_u64()?;
-        if n > self.remaining() as u64 {
-            return Err(WireError::Malformed { at, what: "byte-string length exceeds stream" });
+        if n > (self.remaining() / min_item_bytes) as u64 {
+            return Err(WireError::Malformed { at, what: "element count exceeds stream" });
         }
-        Ok(self.take(n as usize, "bytes")?.to_vec())
+        Ok(n as usize)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -268,12 +281,8 @@ impl<'a> WireReader<'a> {
     /// [`WireError::Truncated`] / [`WireError::Malformed`] on an
     /// impossible length.
     pub fn get_u32s(&mut self) -> Result<Vec<u32>, WireError> {
-        let at = self.pos;
-        let n = self.get_u64()?;
-        if n.saturating_mul(4) > self.remaining() as u64 {
-            return Err(WireError::Malformed { at, what: "u32-slice length exceeds stream" });
-        }
-        let mut out = Vec::with_capacity(n as usize);
+        let n = self.get_count(4)?;
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.get_u32()?);
         }

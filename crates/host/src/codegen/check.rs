@@ -15,7 +15,8 @@
 //!   helper entry point;
 //! * **context bounds** — every `[r15 + disp]` access (including pointers
 //!   derived from `r15` by bounded index arithmetic, like TLB slots and
-//!   transaction-buffer entries) stays inside the `NativeCtx` layout;
+//!   transaction-buffer entries) stays inside the shared
+//!   [`HostState`](crate::state::HostState) layout;
 //! * **memory discipline** — every other load/store goes through a
 //!   pointer proven to be a bounds-checked L0-TLB page pointer (guard
 //!   compare + `ja slow` observed) or a profile-table pointer loaded from
@@ -33,9 +34,10 @@
 //! every legitimate fragment while rejecting single-instruction
 //! corruptions like a planted `mov r15, ...`.
 
-use super::exec::{NativeCtx, O_PROF_COUNTS, O_PROF_TRIPS, O_TLB, TLB_SLOTS};
+use super::exec::{O_PROF_COUNTS, O_PROF_TRIPS, O_TLB};
 use super::x64::{Alu, CC_A, CC_AE};
 use super::CheckKind;
+use crate::state::{HostState, TLB_SLOTS};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -607,13 +609,13 @@ impl<'a> Checker<'a> {
     /// Classifies and bounds-checks a `[base + disp]` access of `len`
     /// bytes; records a finding when it cannot be proven safe.
     fn mem(&mut self, off: usize, base: u8, disp: i32, len: u8) -> MemClass {
-        let ctx_size = std::mem::size_of::<NativeCtx>() as i64;
+        let ctx_size = std::mem::size_of::<HostState>() as i64;
         let cls = match self.regs[base as usize] {
             CtxPtr(m) => {
                 let eff = m as i64 + i64::from(disp);
                 if eff < 0 || eff + i64::from(len) > ctx_size {
                     MemClass::Bad(format!(
-                        "context access at offset {eff} (+{len}) outside NativeCtx ({ctx_size} bytes)"
+                        "context access at offset {eff} (+{len}) outside HostState ({ctx_size} bytes)"
                     ))
                 } else {
                     MemClass::Ctx(eff)
@@ -1018,7 +1020,6 @@ mod tests {
             chkpt: 0x1000,
             commit: 0x1008,
             exit_commit: 0x1010,
-            count_trip: 0x1018,
             rollback: 0x1020,
             slow_load: 0x1028,
             slow_store: 0x1030,
@@ -1032,7 +1033,6 @@ mod tests {
             h.chkpt,
             h.commit,
             h.exit_commit,
-            h.count_trip,
             h.rollback,
             h.slow_load,
             h.slow_store,
@@ -1124,7 +1124,7 @@ mod tests {
     fn unproven_pointer_and_ctx_oob_are_flagged() {
         let mut a = Asm::new();
         a.mov_r32_mem(RAX, RCX, 0); // rcx: never established
-        a.mov_r32_mem(RAX, R15, std::mem::size_of::<NativeCtx>() as i32); // past the ctx
+        a.mov_r32_mem(RAX, R15, std::mem::size_of::<HostState>() as i32); // past the ctx
         a.ret();
         let findings = check_fragment(&a.finish(), &[]);
         assert!(findings.iter().any(|f| f.kind == CheckKind::MemDiscipline));
@@ -1428,7 +1428,8 @@ mod tests {
 
     #[test]
     fn store_append_pattern_verifies_through_bound_refinement() {
-        use super::super::exec::{O_STORE_BUF, O_STORE_LEN, STORE_CAP};
+        use super::super::exec::{O_STORE_BUF, O_STORE_LEN};
+        use crate::state::STORE_CAP;
         let mut a = Asm::new();
         let slow = a.new_label();
         a.alu_mem32_imm(Alu::Cmp, R15, O_STORE_LEN, STORE_CAP as u32);

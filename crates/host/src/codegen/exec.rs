@@ -1,172 +1,29 @@
-//! Native execution engine: the JIT-side mirror of `HostEmulator`.
+//! Native execution engine over the shared [`HostState`].
 //!
-//! Compiled fragments run over a [`NativeCtx`] anchored in `r15`. The
-//! context mirrors the emulator's architectural state (`iregs`, `fregs`,
-//! counters, snapshot, store buffer, speculative-load log) field for
-//! field; slow paths call back into the `extern "sysv64"` helpers below,
-//! which are line-by-line transcriptions of the corresponding
-//! `HostEmulator` code so the two backends stay bit-identical.
+//! Compiled fragments run with `r15` pinned on the emulator's own
+//! [`HostState`]. Fast paths address the state as `[r15 + disp32]`; slow
+//! paths call the `extern "sysv64"` helpers below, thin wrappers around
+//! the `HostState` methods the emulator's loop calls too (plus the
+//! JIT-only L0-TLB refill).
 //!
 //! Control protocol: a fragment returns 0 in `rax` when the transaction
-//! is DONE (exit info is in the context) and 1 to CONTINUE at
-//! `ctx.cont_target` (with optional patch-site info so the trampoline can
+//! is DONE (exit info is in the state) and 1 to CONTINUE at
+//! `cont_target` (with optional patch-site info so the trampoline can
 //! chain fragments directly in native code).
 
 use super::buffer::CodeBuffer;
 use super::check;
 use super::lower::{compile_fragment, Helpers};
 use super::{CheckMode, JitStats, MutationLog};
-use crate::emu::{ExitCause, ExitInfo, HostEmulator, IbtcTable, ProfTable};
-use crate::insn::HInsn;
+use crate::emu::{ExitInfo, HostEmulator, IbtcTable, ProfTable};
+use crate::insn::{add_rel, HInsn};
+use crate::state::{HostState, TLB_SLOTS};
 use darco_guest::GuestMem;
 use std::collections::{HashMap, HashSet};
 
-/// Store-buffer capacity. A transaction (checkpoint to checkpoint) is
-/// bounded by translation size (a few thousand instructions), so this is
-/// far beyond reachable; the helpers abort rather than wrap if it is ever
-/// hit.
-pub(super) const STORE_CAP: usize = 8192;
-/// Speculative-load log capacity (same bound argument).
-pub(super) const SPEC_CAP: usize = 8192;
-/// Store/spec range-screen split: addresses at or above this (the guest
-/// stack lives at 0x7FFF_F000 down) are tracked in the second range.
-/// Transactions usually mix stack traffic with data traffic; one global
-/// `[lo, hi)` interval would fuse them into a range spanning most of the
-/// address space and send every load in between to the slow path. The
-/// split keeps both intervals tight. Correctness never depends on the
-/// split point — both intervals are always checked.
-pub(super) const RANGE_SPLIT: u32 = 0x7000_0000;
-
-/// Direct-mapped native L0 TLB entries. Sized so hot working sets
-/// (hundreds of guest pages) fit without conflict misses; the array is
-/// rezeroed on every `execute` entry, which bounds how big it can
-/// usefully be.
-pub(super) const TLB_SLOTS: usize = 256;
-
-/// One buffered store (16 bytes so slot addressing is `index << 4`).
-/// Mirrors the emulator's `StoreEnt`.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub(super) struct StoreSlot {
-    pub seq: u16,
-    pub len: u8,
-    pub _pad: u8,
-    pub addr: u32,
-    pub data: u64,
-}
-
-/// One logged speculative load (16 bytes). Mirrors `SpecLoad`.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub(super) struct SpecSlot {
-    pub seq: u16,
-    pub len: u8,
-    pub _pad: u8,
-    pub addr: u32,
-    pub _pad2: u64,
-}
-
-/// Exit-cause codes shared between emitted code, helpers and the engine.
-pub(super) const CAUSE_EXIT: u32 = 0;
-pub(super) const CAUSE_ASSERT: u32 = 1;
-pub(super) const CAUSE_ALIAS: u32 = 2;
-pub(super) const CAUSE_PAGE_FAULT: u32 = 3;
-pub(super) const CAUSE_DIV_ZERO: u32 = 4;
-pub(super) const CAUSE_TRIP: u32 = 5;
-pub(super) const CAUSE_FUEL: u32 = 6;
-pub(super) const CAUSE_SMC: u32 = 7;
-
-/// The JIT execution context. `r15` points here for the whole native
-/// call; every offset below is addressed as `[r15 + disp32]`.
-#[repr(C)]
-pub(super) struct NativeCtx {
-    // -- architectural state (mirrors HostEmulator) --
-    pub iregs: [u32; 64],
-    pub fregs: [f64; 64],
-    pub executed: u64,
-    pub unattributed: u64,
-    pub gcnt_bb: u64,
-    pub gcnt_sb: u64,
-    pub host_bb: u64,
-    pub host_sb: u64,
-    // EmuCounters, field for field.
-    pub chkpts: u64,
-    pub commits: u64,
-    pub assert_fails: u64,
-    pub alias_fails: u64,
-    pub page_faults: u64,
-    pub ibtc_hits: u64,
-    pub ibtc_misses: u64,
-    pub smc_aborts: u64,
-    // -- rollback snapshot --
-    pub snap_iregs: [u32; 64],
-    pub snap_fregs: [f64; 64],
-    pub snap_pc: u64,
-    pub snap_gcnt_bb: u64,
-    pub snap_gcnt_sb: u64,
-    pub fuel: u64,
-    // -- store buffer / spec log bookkeeping --
-    pub store_len: u32,
-    /// `seq` of the last (highest-seq) buffered store; 0 when empty, so
-    /// the in-order append test `seq >= last` is correct for any seq.
-    pub store_last_seq: u32,
-    pub store_lo: u64,
-    pub store_hi: u64,
-    /// Second store range (addresses >= `RANGE_SPLIT`).
-    pub store_lo2: u64,
-    pub store_hi2: u64,
-    /// Bloom filter over 8-byte granules of buffered-store addresses:
-    /// bit `(addr >> 3) & 63`. Consulted by loads whose range screen
-    /// suspects an overlap — a miss proves no store-buffer entry can
-    /// alias the load, so it still takes the fast path.
-    pub store_bloom: u64,
-    pub spec_len: u32,
-    pub _pad0: u32,
-    pub spec_lo: u64,
-    pub spec_hi: u64,
-    /// Second speculative-load range (addresses >= `RANGE_SPLIT`).
-    pub spec_lo2: u64,
-    pub spec_hi2: u64,
-    /// Bloom filter over 8-byte granules of speculative-load addresses
-    /// (same hash as `store_bloom`), consulted by the store alias screen.
-    pub spec_bloom: u64,
-    // -- exit info (DONE protocol) --
-    pub exit_cause: u32,
-    pub exit_a: u32,
-    pub exit_b: u32,
-    /// Set to 1 by a slow-path memory helper when it already rolled back
-    /// and filled the exit info (the fragment must return DONE).
-    pub helper_exit: u32,
-    pub exit_host_pc: u64,
-    pub exit_chkpt_pc: u64,
-    // -- continue protocol --
-    pub cont_target: u64,
-    /// 0 = no patch, 1 = direct-jump site, 2 = IBTC inline-cache site.
-    pub patch_kind: u64,
-    pub patch_site: u64,
-    pub ibtc_guard_site: u64,
-    pub ibtc_cmp_site: u64,
-    pub ibtc_jmp_site: u64,
-    pub ibtc_pc: u64,
-    // -- environment (refreshed every execute) --
-    pub mem: *mut GuestMem,
-    pub ibtc: *const IbtcTable,
-    pub prof_counts: *mut u64,
-    pub prof_trips: *const u64,
-    pub arena: *const HInsn,
-    pub arena_len: u64,
-    /// Slow-path memory operations this execute (jit.slow_mem_exits).
-    pub slow_mem: u64,
-    // -- native L0 TLB: [tag = page+1, page data ptr] pairs --
-    pub tlb: [u64; TLB_SLOTS * 2],
-    // -- flat transaction buffers --
-    pub store_buf: [StoreSlot; STORE_CAP],
-    pub spec_buf: [SpecSlot; SPEC_CAP],
-}
-
 macro_rules! off {
-    ($name:ident, $field:ident) => {
-        pub(super) const $name: i32 = std::mem::offset_of!(NativeCtx, $field) as i32;
+    ($name:ident, $($field:tt)+) => {
+        pub(super) const $name: i32 = std::mem::offset_of!(HostState, $($field)+) as i32;
     };
 }
 
@@ -178,7 +35,7 @@ off!(O_GCNT_BB, gcnt_bb);
 off!(O_GCNT_SB, gcnt_sb);
 off!(O_HOST_BB, host_bb);
 off!(O_HOST_SB, host_sb);
-off!(O_IBTC_HITS, ibtc_hits);
+off!(O_IBTC_HITS, counters.ibtc_hits);
 off!(O_STORE_LEN, store_len);
 off!(O_STORE_LAST_SEQ, store_last_seq);
 off!(O_STORE_LO, store_lo);
@@ -209,12 +66,12 @@ off!(O_TLB, tlb);
 off!(O_STORE_BUF, store_buf);
 off!(O_SPEC_BUF, spec_buf);
 
-/// Register index of a ctx integer register.
+/// Offset of integer register `i` in the state.
 pub(super) fn ireg_off(i: usize) -> i32 {
     O_IREGS + (i as i32) * 4
 }
 
-/// Register index of a ctx FP register.
+/// Offset of FP register `i` in the state.
 pub(super) fn freg_off(i: usize) -> i32 {
     O_FREGS + (i as i32) * 8
 }
@@ -223,167 +80,46 @@ pub(super) fn freg_off(i: usize) -> i32 {
 // Helpers (extern "sysv64", called from emitted code)
 // ---------------------------------------------------------------------
 
-fn ctx_mut<'a>(ctx: *mut NativeCtx) -> &'a mut NativeCtx {
+fn state<'a>(ctx: *mut HostState) -> &'a mut HostState {
     unsafe { &mut *ctx }
 }
 
-/// Commits the store buffer to guest memory; mirrors `HostEmulator::commit`.
-///
-/// Commits cluster heavily on one page, so the page is resolved once per
-/// run of same-page stores instead of once per store. Code pages and
-/// page-crossing stores take the full `write` path (the former so the
-/// decode-cache generation advances exactly as the emulator's commit
-/// does — it is checkpointed state).
-fn commit_stores(c: &mut NativeCtx) {
-    let mem = unsafe { &mut *c.mem };
-    let mut cur_page = u32::MAX;
-    let mut cur_ptr: *mut u8 = std::ptr::null_mut();
-    for i in 0..c.store_len as usize {
-        let e = c.store_buf[i];
-        let off = (e.addr & 0xfff) as usize;
-        let len = e.len as usize;
-        let page = e.addr >> 12;
-        if off + len <= 4096 && page == cur_page {
-            unsafe {
-                std::ptr::copy_nonoverlapping(e.data.to_le_bytes().as_ptr(), cur_ptr.add(off), len);
-            }
-            continue;
-        }
-        if off + len <= 4096 {
-            if let Some(pg) = mem.page_for_commit(page) {
-                cur_page = page;
-                cur_ptr = pg.as_mut_ptr();
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        e.data.to_le_bytes().as_ptr(),
-                        cur_ptr.add(off),
-                        len,
-                    );
-                }
-                continue;
-            }
-        }
-        let bytes = e.data.to_le_bytes();
-        mem.write(e.addr, &bytes[..len]).expect("store page probed at execute");
-    }
-    clear_transaction(c);
-    c.commits += 1;
+/// The guest memory of the running `execute` call.
+fn guest_mem<'a>(c: &HostState) -> &'a mut GuestMem {
+    unsafe { &mut *c.mem }
 }
 
-fn clear_transaction(c: &mut NativeCtx) {
-    c.store_len = 0;
-    c.store_last_seq = 0;
-    c.store_lo = u64::MAX;
-    c.store_hi = 0;
-    c.store_lo2 = u64::MAX;
-    c.store_hi2 = 0;
-    c.store_bloom = 0;
-    c.spec_len = 0;
-    c.spec_lo = u64::MAX;
-    c.spec_hi = 0;
-    c.spec_lo2 = u64::MAX;
-    c.spec_hi2 = 0;
-    c.spec_bloom = 0;
-}
-
-/// Bloom mask for an access at `addr`: bits for granule `addr >> 3` and
-/// its successor (mod 64) — a superset of the granules any `len <= 8`
-/// access touches. Must match `emit_bloom_mask` in the lowerer exactly:
-/// soundness only needs every *set* mask to cover the store's granules
-/// and every *checked* mask to cover the load's, which the common
-/// two-bit superset does.
-fn bloom_mask(addr: u32) -> u64 {
-    3u64.rotate_left(addr >> 3)
-}
-
-fn take_snapshot(c: &mut NativeCtx, pc: u64) {
-    c.snap_iregs = c.iregs;
-    c.snap_fregs = c.fregs;
-    c.snap_pc = pc;
-    c.snap_gcnt_bb = c.gcnt_bb;
-    c.snap_gcnt_sb = c.gcnt_sb;
-}
-
-/// Mirrors `HostEmulator::rollback` + exit-info fill.
-fn rollback_to(c: &mut NativeCtx, pc: u64, cause: u32, a: u32, b: u32) {
-    c.iregs = c.snap_iregs;
-    c.fregs = c.snap_fregs;
-    c.gcnt_bb = c.snap_gcnt_bb;
-    c.gcnt_sb = c.snap_gcnt_sb;
-    clear_transaction(c);
-    c.exit_cause = cause;
-    c.exit_a = a;
-    c.exit_b = b;
-    c.exit_host_pc = pc;
-    c.exit_chkpt_pc = c.snap_pc;
-}
-
-fn overlaps(a: u32, alen: u8, b: u32, blen: u8) -> bool {
-    let (a, b) = (a as u64, b as u64);
-    a < b + blen as u64 && b < a + alen as u64
-}
-
-/// `Chkpt`: commit, fuel check, snapshot. Returns 1 on fuel exhaustion
-/// (DONE), 0 to continue.
-pub(super) extern "sysv64" fn h_chkpt(ctx: *mut NativeCtx, pc: u64) -> u64 {
-    let c = ctx_mut(ctx);
-    commit_stores(c);
-    if c.gcnt_bb + c.gcnt_sb >= c.fuel {
-        c.exit_cause = CAUSE_FUEL;
-        c.exit_a = 0;
-        c.exit_b = 0;
-        c.exit_host_pc = pc;
-        c.exit_chkpt_pc = pc;
-        return 1;
-    }
-    take_snapshot(c, pc);
-    c.chkpts += 1;
-    0
+/// `Chkpt`: returns 1 on fuel exhaustion (DONE), 0 to continue.
+pub(super) extern "sysv64" fn h_chkpt(ctx: *mut HostState, pc: u64) -> u64 {
+    let c = state(ctx);
+    c.chkpt(guest_mem(c), pc as usize) as u64
 }
 
 /// `Commit`: commit without a new snapshot.
-pub(super) extern "sysv64" fn h_commit(ctx: *mut NativeCtx) {
-    commit_stores(ctx_mut(ctx));
+pub(super) extern "sysv64" fn h_commit(ctx: *mut HostState) {
+    let c = state(ctx);
+    c.commit(guest_mem(c));
 }
 
-/// `TolExit` / unchained `ChainSlot`: commit and exit with `id`.
-pub(super) extern "sysv64" fn h_exit_commit(ctx: *mut NativeCtx, pc: u64, id: u64) {
-    let c = ctx_mut(ctx);
-    commit_stores(c);
-    c.exit_cause = CAUSE_EXIT;
-    c.exit_a = id as u32;
-    c.exit_b = 0;
-    c.exit_host_pc = pc;
-    c.exit_chkpt_pc = c.snap_pc;
-}
-
-/// `Count` profile-trip: commit and exit with `ProfileTrip{idx}`.
-pub(super) extern "sysv64" fn h_count_trip(ctx: *mut NativeCtx, pc: u64, idx: u64) {
-    let c = ctx_mut(ctx);
-    commit_stores(c);
-    c.exit_cause = CAUSE_TRIP;
-    c.exit_a = idx as u32;
-    c.exit_b = 0;
-    c.exit_host_pc = pc;
-    c.exit_chkpt_pc = c.snap_pc;
+/// `TolExit` / unchained `ChainSlot` / `Count` profile trip: commit and
+/// exit with `cause` and payload `a`.
+pub(super) extern "sysv64" fn h_exit_commit(ctx: *mut HostState, pc: u64, cause: u64, a: u64) {
+    let c = state(ctx);
+    c.exit_commit(guest_mem(c), pc as usize, cause as u32, a as u32);
 }
 
 /// Assert / div-by-zero rollback exits.
-pub(super) extern "sysv64" fn h_rollback(ctx: *mut NativeCtx, pc: u64, cause: u64, a: u64, b: u64) {
-    let c = ctx_mut(ctx);
-    if cause as u32 == CAUSE_ASSERT {
-        c.assert_fails += 1;
-    }
-    rollback_to(c, pc, cause as u32, a as u32, b as u32);
+pub(super) extern "sysv64" fn h_rollback(ctx: *mut HostState, pc: u64, cause: u64, a: u64, b: u64) {
+    state(ctx).rollback(pc as usize, cause as u32, a as u32, b as u32);
 }
 
 /// Fills the native TLB slot for the page containing `addr`, if mapped.
 /// Marked code pages never enter the TLB: every access to one takes the
 /// slow helper, where self-modifying stores are detected and aborted
 /// (mirroring `GuestMem`'s write-TLB discipline).
-fn tlb_fill(c: &mut NativeCtx, addr: u32) {
+fn tlb_fill(c: &mut HostState, addr: u32) {
     let page = addr >> 12;
-    let mem = unsafe { &*c.mem };
+    let mem = guest_mem(c);
     if mem.is_code_page(page) {
         return;
     }
@@ -394,225 +130,63 @@ fn tlb_fill(c: &mut NativeCtx, addr: u32) {
     }
 }
 
-fn push_spec(c: &mut NativeCtx, seq: u16, addr: u32, len: u8) {
-    let i = c.spec_len as usize;
-    if i >= SPEC_CAP {
-        std::process::abort();
-    }
-    c.spec_buf[i] = SpecSlot { seq, len, _pad: 0, addr, _pad2: 0 };
-    c.spec_len += 1;
-    if addr >= RANGE_SPLIT {
-        c.spec_lo2 = c.spec_lo2.min(addr as u64);
-        c.spec_hi2 = c.spec_hi2.max(addr as u64 + len as u64);
-    } else {
-        c.spec_lo = c.spec_lo.min(addr as u64);
-        c.spec_hi = c.spec_hi.max(addr as u64 + len as u64);
-    }
-    c.spec_bloom |= bloom_mask(addr);
-}
-
-/// Slow-path load: full store-buffer overlay, spec logging, page-fault
-/// rollback, and TLB refill. `desc` packs `seq | len<<16 | spec<<24`.
-/// Returns the raw little-endian value; the fragment extends it. On
-/// fault, sets `helper_exit` and the fragment returns DONE.
-pub(super) extern "sysv64" fn h_slow_load(
-    ctx: *mut NativeCtx,
-    addr: u64,
-    pc: u64,
-    desc: u64,
-) -> u64 {
-    let c = ctx_mut(ctx);
+/// Slow-path load plus TLB refill. `desc` packs `seq | len<<16 |
+/// spec<<24`. Returns the raw little-endian value; the fragment extends
+/// it. On fault, sets `helper_exit` and the fragment returns DONE.
+pub(super) extern "sysv64" fn h_slow_load(ctx: *mut HostState, addr: u64, pc: u64, desc: u64) -> u64 {
+    let c = state(ctx);
     c.slow_mem += 1;
-    let addr = addr as u32;
-    let seq = (desc & 0xFFFF) as u16;
-    let len = ((desc >> 16) & 0xFF) as u8;
-    let spec = (desc >> 24) & 1 != 0;
-    let mem = unsafe { &*c.mem };
-    let mut buf = [0u8; 8];
-    if let Err(pf) = mem.read(addr, &mut buf[..len as usize]) {
-        c.page_faults += 1;
-        rollback_to(c, pc, CAUSE_PAGE_FAULT, pf.addr, 0);
+    let (seq, len, spec) = (desc as u16, (desc >> 16) as u8, (desc >> 24) & 1 != 0);
+    let Some(raw) = c.load(guest_mem(c), pc as usize, addr as u32, len, seq, spec) else {
         c.helper_exit = 1;
         return 0;
-    }
-    // Overlay forwarding-eligible buffered stores (sorted by seq).
-    for i in 0..c.store_len as usize {
-        let e = c.store_buf[i];
-        if e.seq >= seq {
-            break;
-        }
-        if !overlaps(e.addr, e.len, addr, len) {
-            continue;
-        }
-        let d = e.data.to_le_bytes();
-        for j in 0..e.len as u64 {
-            let a = e.addr as u64 + j;
-            if a >= addr as u64 && a < addr as u64 + len as u64 {
-                buf[(a - addr as u64) as usize] = d[j as usize];
-            }
-        }
-    }
-    if spec {
-        push_spec(c, seq, addr, len);
-    }
-    tlb_fill(c, addr);
+    };
+    tlb_fill(c, addr as u32);
     c.helper_exit = 0;
-    u64::from_le_bytes(buf)
+    raw
 }
 
-/// Slow-path store: probe, alias check against younger speculative loads,
-/// sorted insert. `desc` packs `seq | len<<16`.
-pub(super) extern "sysv64" fn h_slow_store(
-    ctx: *mut NativeCtx,
-    addr: u64,
-    pc: u64,
-    desc: u64,
-    data: u64,
-) {
-    let c = ctx_mut(ctx);
+/// Slow-path store plus TLB refill. `desc` packs `seq | len<<16`.
+pub(super) extern "sysv64" fn h_slow_store(ctx: *mut HostState, addr: u64, pc: u64, desc: u64, data: u64) {
+    let c = state(ctx);
     c.slow_mem += 1;
-    let addr = addr as u32;
-    let seq = (desc & 0xFFFF) as u16;
-    let len = ((desc >> 16) & 0xFF) as u8;
-    let mem = unsafe { &*c.mem };
-    if let Err(pf) = mem.probe(addr, len as u32, true) {
-        c.page_faults += 1;
-        rollback_to(c, pc, CAUSE_PAGE_FAULT, pf.addr, 1);
+    if !c.store(guest_mem(c), pc as usize, addr as u32, (desc >> 16) as u8, data, desc as u16) {
         c.helper_exit = 1;
         return;
     }
-    // Self-modifying store: abort before buffering (same check order as
-    // `HostEmulator::write_mem` — probe, SMC, alias — so counters match
-    // across backends).
-    if mem.is_code(addr, len as u32) {
-        c.smc_aborts += 1;
-        rollback_to(c, pc, CAUSE_SMC, addr, 0);
-        c.helper_exit = 1;
-        return;
-    }
-    for i in 0..c.spec_len as usize {
-        let l = c.spec_buf[i];
-        if l.seq > seq && overlaps(l.addr, l.len, addr, len) {
-            c.alias_fails += 1;
-            rollback_to(c, pc, CAUSE_ALIAS, 0, 0);
-            c.helper_exit = 1;
-            return;
-        }
-    }
-    let n = c.store_len as usize;
-    if n >= STORE_CAP {
-        std::process::abort();
-    }
-    // Sorted insert by seq (rposition + 1, as in the emulator).
-    let mut pos = 0;
-    for i in (0..n).rev() {
-        if c.store_buf[i].seq <= seq {
-            pos = i + 1;
-            break;
-        }
-    }
-    c.store_buf.copy_within(pos..n, pos + 1);
-    c.store_buf[pos] = StoreSlot { seq, len, _pad: 0, addr, data };
-    c.store_len += 1;
-    c.store_last_seq = c.store_buf[n].seq as u32;
-    if addr >= RANGE_SPLIT {
-        c.store_lo2 = c.store_lo2.min(addr as u64);
-        c.store_hi2 = c.store_hi2.max(addr as u64 + len as u64);
-    } else {
-        c.store_lo = c.store_lo.min(addr as u64);
-        c.store_hi = c.store_hi.max(addr as u64 + len as u64);
-    }
-    c.store_bloom |= bloom_mask(addr);
-    tlb_fill(c, addr);
+    tlb_fill(c, addr as u32);
     c.helper_exit = 0;
 }
 
 /// `IbtcJmp` probe. Hit: returns host target + 1 (no commit). Miss:
 /// commits, fills `Exit{id}` info and returns 0 (DONE).
-pub(super) extern "sysv64" fn h_ibtc(ctx: *mut NativeCtx, guest: u64, pc: u64, id: u64) -> u64 {
-    let c = ctx_mut(ctx);
+pub(super) extern "sysv64" fn h_ibtc(ctx: *mut HostState, guest: u64, pc: u64, id: u64) -> u64 {
+    let c = state(ctx);
     let ibtc = unsafe { &*c.ibtc };
-    if let Some(&hpc) = ibtc.get(&(guest as u32)) {
-        c.ibtc_hits += 1;
-        hpc as u64 + 1
-    } else {
-        c.ibtc_misses += 1;
-        commit_stores(c);
-        c.exit_cause = CAUSE_EXIT;
-        c.exit_a = id as u32;
-        c.exit_b = 0;
-        c.exit_host_pc = pc;
-        c.exit_chkpt_pc = c.snap_pc;
-        0
-    }
+    c.ibtc_probe(ibtc, guest_mem(c), guest as u32, pc as usize, id as u16).map_or(0, |hpc| hpc as u64 + 1)
 }
 
-/// `Bl`: interprets the runtime routine at `target` until its `Blr`,
-/// with the same per-instruction cost accounting as the emulator. The
-/// routines are pure register code (no memory, no exits), so this cannot
-/// fault; anything outside that subset aborts loudly.
-pub(super) extern "sysv64" fn h_bl_routine(ctx: *mut NativeCtx, target: u64) {
-    use crate::emu::{eval_falu, eval_halu};
-    use crate::insn::{FCmpOp, FUnOp2};
-    let c = ctx_mut(ctx);
+/// `Bl`: runs the runtime routine at `target` until its `Blr`, with the
+/// same per-instruction cost accounting as the emulator. The routines
+/// are pure register code (no memory, no exits), so this cannot fault;
+/// anything outside that subset aborts loudly.
+pub(super) extern "sysv64" fn h_bl_routine(ctx: *mut HostState, target: u64) {
+    let c = state(ctx);
     let arena = unsafe { std::slice::from_raw_parts(c.arena, c.arena_len as usize) };
     let mut pc = target as usize;
     loop {
         let insn = arena[pc];
         c.executed += insn.dyn_cost();
         c.unattributed += insn.dyn_cost();
-        let mut next = pc + 1;
-        match insn {
-            HInsn::FAlu { op, fd, fa, fb } => {
-                c.fregs[fd.index()] = eval_falu(op, c.fregs[fa.index()], c.fregs[fb.index()]);
-            }
-            HInsn::FUn { op, fd, fa } => {
-                let a = c.fregs[fa.index()];
-                c.fregs[fd.index()] = match op {
-                    FUnOp2::Mov => a,
-                    FUnOp2::Sqrt => a.sqrt(),
-                    FUnOp2::Abs => a.abs(),
-                    FUnOp2::Neg => -a,
-                };
-            }
-            HInsn::FLoadImm { fd, bits } => c.fregs[fd.index()] = f64::from_bits(bits),
-            HInsn::FCmp { op, rd, fa, fb } => {
-                let (a, b) = (c.fregs[fa.index()], c.fregs[fb.index()]);
-                let r = match op {
-                    FCmpOp::Lt => a < b,
-                    FCmpOp::Le => a <= b,
-                    FCmpOp::Eq => a == b,
-                    FCmpOp::Unord => a.is_nan() || b.is_nan(),
-                };
-                c.iregs[rd.index()] = r as u32;
-            }
-            HInsn::CvtIF { fd, ra } => c.fregs[fd.index()] = c.iregs[ra.index()] as i32 as f64,
-            HInsn::CvtFI { rd, fa } => c.iregs[rd.index()] = c.fregs[fa.index()] as i32 as u32,
-            HInsn::Alu { op, rd, ra, rb } => {
-                c.iregs[rd.index()] = eval_halu(op, c.iregs[ra.index()], c.iregs[rb.index()]);
-            }
-            HInsn::AluI { op, rd, ra, imm } => {
-                c.iregs[rd.index()] = eval_halu(op, c.iregs[ra.index()], imm as i32 as u32);
-            }
-            HInsn::Lui { rd, imm } => c.iregs[rd.index()] = (imm as u32) << 16,
-            HInsn::OriZ { rd, imm } => c.iregs[rd.index()] |= imm as u32,
-            HInsn::Li16 { rd, imm } => c.iregs[rd.index()] = imm as i32 as u32,
-            HInsn::B { rel } => next = crate::insn::add_rel(pc, rel),
-            HInsn::Bz { rs, rel } => {
-                if c.iregs[rs.index()] == 0 {
-                    next = crate::insn::add_rel(pc, rel);
-                }
-            }
-            HInsn::Bnz { rs, rel } => {
-                if c.iregs[rs.index()] != 0 {
-                    next = crate::insn::add_rel(pc, rel);
-                }
-            }
-            HInsn::Nop => {}
+        pc = match insn {
             HInsn::Blr => return,
+            HInsn::B { rel } => add_rel(pc, rel),
+            HInsn::Bz { rs, rel } if c.iregs[rs.index()] == 0 => add_rel(pc, rel),
+            HInsn::Bnz { rs, rel } if c.iregs[rs.index()] != 0 => add_rel(pc, rel),
+            HInsn::Bz { .. } | HInsn::Bnz { .. } => pc + 1,
+            _ if c.reg_op(insn) => pc + 1,
             _ => std::process::abort(),
-        }
-        pc = next;
+        };
     }
 }
 
@@ -621,7 +195,7 @@ pub(super) extern "sysv64" fn h_bl_routine(ctx: *mut NativeCtx, target: u64) {
 // ---------------------------------------------------------------------
 
 /// Enter thunk: saves callee-saved registers, anchors `r15` on the
-/// context and calls the fragment.
+/// state and calls the fragment.
 /// `push rbx/rbp/r12..r15; mov r15, rdi; call rsi; pops; ret`
 const THUNK: &[u8] = &[
     0x53, 0x55, 0x41, 0x54, 0x41, 0x55, 0x41, 0x56, 0x41, 0x57, // pushes
@@ -665,7 +239,6 @@ pub struct NativeEngine {
     buf: CodeBuffer,
     frags: HashMap<usize, Frag>,
     epoch: Option<u64>,
-    ctx: Box<NativeCtx>,
     /// IBTC guard sites already patched (absolute buffer offsets).
     patched_ibtc: HashSet<usize>,
     /// Every live patch, for precise unpatching (cleared on reset).
@@ -682,24 +255,6 @@ pub struct NativeEngine {
     pub stats: JitStats,
 }
 
-// The context's raw pointers (guest memory, IBTC, profile table, arena)
-// are set from fresh borrows at the top of every `execute` call and never
-// dereferenced outside it, so moving the engine across threads between
-// calls is sound.
-unsafe impl Send for NativeEngine {}
-
-fn alloc_ctx() -> Box<NativeCtx> {
-    // The context is several hundred KiB; allocate it zeroed on the heap
-    // directly instead of constructing on the stack. All fields are plain
-    // data for which the zero pattern is valid.
-    let layout = std::alloc::Layout::new::<NativeCtx>();
-    unsafe {
-        let p = std::alloc::alloc_zeroed(layout).cast::<NativeCtx>();
-        assert!(!p.is_null(), "native ctx allocation failed");
-        Box::from_raw(p)
-    }
-}
-
 impl Default for NativeEngine {
     fn default() -> Self {
         Self::new()
@@ -714,7 +269,6 @@ impl NativeEngine {
             buf,
             frags: HashMap::new(),
             epoch: None,
-            ctx: alloc_ctx(),
             patched_ibtc: HashSet::new(),
             patches: Vec::new(),
             check_mode: CheckMode::Off,
@@ -742,13 +296,12 @@ impl NativeEngine {
         self.plant = Some(ordinal);
     }
 
-    fn helper_list() -> [usize; 9] {
+    fn helper_list() -> [usize; 8] {
         let h = Self::helpers();
         [
             h.chkpt,
             h.commit,
             h.exit_commit,
-            h.count_trip,
             h.rollback,
             h.slow_load,
             h.slow_store,
@@ -906,7 +459,6 @@ impl NativeEngine {
             chkpt: h_chkpt as *const () as usize,
             commit: h_commit as *const () as usize,
             exit_commit: h_exit_commit as *const () as usize,
-            count_trip: h_count_trip as *const () as usize,
             rollback: h_rollback as *const () as usize,
             slow_load: h_slow_load as *const () as usize,
             slow_store: h_slow_store as *const () as usize,
@@ -955,10 +507,9 @@ impl NativeEngine {
         (off, did_reset)
     }
 
-    /// Runs host code natively from `entry`, mirroring
-    /// `HostEmulator::execute` under a null sink. State is copied in from
-    /// and back out to `emu`, which stays the single architectural truth
-    /// between calls.
+    /// Runs host code natively from `entry` over `emu`'s own state,
+    /// with the same results as `HostEmulator::execute` under a null
+    /// sink.
     #[allow(clippy::too_many_arguments)]
     pub fn execute(
         &mut self,
@@ -988,56 +539,37 @@ impl NativeEngine {
         }
         self.stats.enters += 1;
 
-        let c = &mut *self.ctx;
-        c.iregs = emu.iregs;
-        c.fregs = emu.fregs;
-        c.executed = 0;
-        c.unattributed = emu.unattributed;
-        c.gcnt_bb = emu.gcnt_bb;
-        c.gcnt_sb = emu.gcnt_sb;
-        c.host_bb = emu.host_bb;
-        c.host_sb = emu.host_sb;
-        c.chkpts = emu.counters.chkpts;
-        c.commits = emu.counters.commits;
-        c.assert_fails = emu.counters.assert_fails;
-        c.alias_fails = emu.counters.alias_fails;
-        c.page_faults = emu.counters.page_faults;
-        c.smc_aborts = emu.counters.smc_aborts;
-        c.ibtc_hits = emu.counters.ibtc_hits;
-        c.ibtc_misses = emu.counters.ibtc_misses;
-        take_snapshot(c, entry as u64);
-        c.fuel = fuel;
-        clear_transaction(c);
-        c.helper_exit = 0;
-        c.slow_mem = 0;
-        c.mem = mem;
-        c.ibtc = ibtc;
-        c.prof_counts = prof.counts.as_mut_ptr();
-        c.prof_trips = prof.trips.as_ptr();
-        c.arena = arena.as_ptr();
-        c.arena_len = arena.len() as u64;
-        c.tlb = [0; TLB_SLOTS * 2];
+        let st: &mut HostState = emu;
+        st.begin(entry, fuel);
+        st.helper_exit = 0;
+        st.slow_mem = 0;
+        st.mem = mem;
+        st.ibtc = ibtc;
+        st.prof_counts = prof.counts.as_mut_ptr();
+        st.prof_trips = prof.trips.as_ptr();
+        st.arena = arena.as_ptr();
+        st.arena_len = arena.len() as u64;
+        st.tlb = [0; TLB_SLOTS * 2];
 
         let mut pc = entry;
         loop {
             let (off, _) = self.frag_off(arena, pc);
             let frag_ptr = self.buf.exec_ptr(off);
             let thunk_ptr = self.buf.exec_ptr(0);
-            let enter: extern "sysv64" fn(*mut NativeCtx, *const u8) -> u64 =
+            let enter: extern "sysv64" fn(*mut HostState, *const u8) -> u64 =
                 unsafe { std::mem::transmute(thunk_ptr) };
-            let token = enter(&mut *self.ctx, frag_ptr);
+            let token = enter(&mut *st, frag_ptr);
             if token == 0 {
                 break;
             }
-            let c = &mut *self.ctx;
-            let target = c.cont_target as usize;
-            let kind = c.patch_kind;
+            let target = st.cont_target as usize;
+            let kind = st.patch_kind;
             let (site, guard, cmp, jmp, ibtc_pc) = (
-                c.patch_site as *const () as usize,
-                c.ibtc_guard_site as usize,
-                c.ibtc_cmp_site as usize,
-                c.ibtc_jmp_site as usize,
-                c.ibtc_pc as u32,
+                st.patch_site as usize,
+                st.ibtc_guard_site as usize,
+                st.ibtc_cmp_site as usize,
+                st.ibtc_jmp_site as usize,
+                st.ibtc_pc as u32,
             );
             let (toff, reset) = self.frag_off(arena, target);
             if !reset {
@@ -1066,43 +598,11 @@ impl NativeEngine {
             pc = target;
         }
 
-        let c = &mut *self.ctx;
-        emu.iregs = c.iregs;
-        emu.fregs = c.fregs;
-        emu.unattributed = c.unattributed;
-        emu.gcnt_bb = c.gcnt_bb;
-        emu.gcnt_sb = c.gcnt_sb;
-        emu.host_bb = c.host_bb;
-        emu.host_sb = c.host_sb;
-        emu.counters.chkpts = c.chkpts;
-        emu.counters.commits = c.commits;
-        emu.counters.assert_fails = c.assert_fails;
-        emu.counters.alias_fails = c.alias_fails;
-        emu.counters.page_faults = c.page_faults;
-        emu.counters.smc_aborts = c.smc_aborts;
-        emu.counters.ibtc_hits = c.ibtc_hits;
-        emu.counters.ibtc_misses = c.ibtc_misses;
-        self.stats.slow_mem_exits += c.slow_mem;
+        self.stats.slow_mem_exits += st.slow_mem;
         self.stats.code_bytes_emitted = self.buf.bytes_emitted;
         self.stats.code_bytes_flushed = self.buf.bytes_flushed;
         self.stats.exec_nanos += t0.elapsed().as_nanos() as u64;
 
-        let cause = match c.exit_cause {
-            CAUSE_EXIT => ExitCause::Exit { id: c.exit_a as u16 },
-            CAUSE_ASSERT => ExitCause::AssertFail,
-            CAUSE_ALIAS => ExitCause::AliasFail,
-            CAUSE_PAGE_FAULT => ExitCause::PageFault { addr: c.exit_a, write: c.exit_b != 0 },
-            CAUSE_DIV_ZERO => ExitCause::DivByZero,
-            CAUSE_TRIP => ExitCause::ProfileTrip { idx: c.exit_a },
-            CAUSE_FUEL => ExitCause::Fuel,
-            CAUSE_SMC => ExitCause::SmcWrite { addr: c.exit_a },
-            other => unreachable!("bad native exit cause {other}"),
-        };
-        ExitInfo {
-            cause,
-            executed: c.executed,
-            host_pc: c.exit_host_pc as usize,
-            chkpt_pc: c.exit_chkpt_pc as usize,
-        }
+        st.exit_info()
     }
 }

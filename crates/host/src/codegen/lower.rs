@@ -8,7 +8,7 @@
 //!
 //! Bit-identity rules the whole lowering:
 //! * every instruction's `dyn_cost` is accumulated into a compile-time
-//!   `pending` counter and flushed to `ctx.executed`/`ctx.unattributed`
+//!   `pending` counter and flushed to the state's `executed`/`unattributed`
 //!   *before* the instruction's effects, exactly like the emulator's
 //!   cost-before-execute ordering;
 //! * integer division, `Parity`, `MulHS`, FP min/max, FP compares and
@@ -17,21 +17,28 @@
 //! * memory runs an inline L0-TLB hit fast path whose guard conditions
 //!   are strictly conservative — anything that could need store-buffer
 //!   overlay, alias checks, faults or sorted insertion falls back to the
-//!   slow-path helpers, which are transcriptions of the emulator.
+//!   slow-path helpers, which call the same `HostState` methods as the
+//!   emulator.
+//!
+//! Every state access is `[r15 + disp32]` on the shared
+//! [`HostState`](crate::state::HostState), with offsets from `exec`.
 
 use super::exec::{
-    freg_off, ireg_off, CAUSE_ASSERT, CAUSE_DIV_ZERO, O_CONT_TARGET, O_EXECUTED, O_GCNT_BB,
-    O_GCNT_SB, O_HELPER_EXIT, O_HOST_BB, O_HOST_SB, O_IBTC_CMP_SITE, O_IBTC_GUARD_SITE,
-    O_IBTC_HITS, O_IBTC_JMP_SITE, O_IBTC_PC, O_PATCH_KIND, O_PATCH_SITE, O_PROF_COUNTS,
-    O_PROF_TRIPS, O_SPEC_BUF, O_SPEC_HI, O_SPEC_LEN, O_SPEC_LO, O_STORE_BUF, O_STORE_HI,
-    O_SPEC_BLOOM, O_STORE_BLOOM, O_STORE_LAST_SEQ, O_STORE_LEN, O_STORE_LO, O_TLB, O_UNATTR,
-    RANGE_SPLIT, SPEC_CAP, STORE_CAP,
+    freg_off, ireg_off, O_CONT_TARGET, O_EXECUTED, O_GCNT_BB, O_GCNT_SB, O_HELPER_EXIT, O_HOST_BB,
+    O_HOST_SB, O_IBTC_CMP_SITE, O_IBTC_GUARD_SITE, O_IBTC_HITS, O_IBTC_JMP_SITE, O_IBTC_PC,
+    O_PATCH_KIND, O_PATCH_SITE, O_PROF_COUNTS, O_PROF_TRIPS, O_SPEC_BLOOM, O_SPEC_BUF, O_SPEC_HI,
+    O_SPEC_LEN, O_SPEC_LO, O_STORE_BLOOM, O_STORE_BUF, O_STORE_HI, O_STORE_LAST_SEQ, O_STORE_LEN,
+    O_STORE_LO, O_TLB, O_UNATTR,
 };
 use super::x64::{
     Alu, Asm, Lab, Reg, CC_A, CC_AE, CC_B, CC_BE, CC_E, CC_NE, CC_NP, CC_P, R12, R13, R14, R15,
     R8, RAX, RBP, RBX, RCX, RDI, RDX, RSI, XMM0, XMM1,
 };
 use crate::insn::{add_rel, FCmpOp, FUnOp2, HAluOp, HInsn};
+use crate::state::{
+    CAUSE_ASSERT, CAUSE_DIV_ZERO, CAUSE_EXIT, CAUSE_TRIP, RANGE_SPLIT, SPEC_CAP, STORE_CAP,
+    TLB_SLOTS,
+};
 use darco_guest::Width;
 use std::collections::{BTreeSet, HashMap};
 
@@ -40,7 +47,6 @@ pub(super) struct Helpers {
     pub chkpt: usize,
     pub commit: usize,
     pub exit_commit: usize,
-    pub count_trip: usize,
     pub rollback: usize,
     pub slow_load: usize,
     pub slow_store: usize,
@@ -63,7 +69,7 @@ pub(super) struct FragOut {
 const HOST_CACHE: [Reg; 5] = [RBX, RBP, R12, R13, R14];
 /// Guest integer registers eligible for caching: r0–r55. The runtime
 /// scratch/link registers r56–r63 stay in memory so the `Bl` routine
-/// interpreter can mutate them behind the fragment's back.
+/// helper can mutate them behind the fragment's back.
 const CACHE_CANDIDATES: usize = 56;
 const MAX_FRAG: usize = 8192;
 
@@ -265,7 +271,7 @@ impl Lowerer<'_> {
         self.a.mov_rr32(RCX, RSI);
         self.a.shift_r32_imm(5, RCX, 12); // page
         self.a.mov_rr32(RAX, RCX);
-        self.a.alu_r32_imm(Alu::And, RAX, super::exec::TLB_SLOTS as u32 - 1);
+        self.a.alu_r32_imm(Alu::And, RAX, TLB_SLOTS as u32 - 1);
         self.a.shift_r32_imm(4, RAX, 4); // slot * 16
         self.a.alu_rr64(Alu::Add, RAX, R15);
         self.a.alu_r32_imm(Alu::Add, RCX, 1); // tag = page + 1
@@ -769,7 +775,8 @@ impl Lowerer<'_> {
                 self.flush_regs();
                 self.a.mov_rr64(RDI, R15);
                 self.a.mov_r32_imm(RSI, pc as u32);
-                self.a.mov_r32_imm(RDX, id as u32);
+                self.a.mov_r32_imm(RDX, CAUSE_EXIT);
+                self.a.mov_r32_imm(RCX, id as u32);
                 self.call_helper(self.h.exit_commit);
                 self.a.jmp(self.ret0);
             }
@@ -806,8 +813,9 @@ impl Lowerer<'_> {
                 self.flush_regs();
                 self.a.mov_rr64(RDI, R15);
                 self.a.mov_r32_imm(RSI, pc as u32);
-                self.a.mov_r32_imm(RDX, idx);
-                self.call_helper(self.h.count_trip);
+                self.a.mov_r32_imm(RDX, CAUSE_TRIP);
+                self.a.mov_r32_imm(RCX, idx);
+                self.call_helper(self.h.exit_commit);
                 self.a.jmp(self.ret0);
                 self.a.bind(skip);
             }

@@ -10,9 +10,14 @@
 //! * the x86-64 JIT ([`NativeEngine`], Linux/x86-64 only) — translates
 //!   arena fragments to native code in a W^X
 //!   [`CodeBuffer`](buffer::CodeBuffer), chains fragments by patching
-//!   jumps in place, and calls back into helper transcriptions of the
-//!   emulator for every slow path, so its architectural results are
-//!   bit-identical to the emulator's.
+//!   jumps in place, and runs with `r15` pinned on the emulator's own
+//!   [`HostState`](crate::state::HostState). Its slow paths are thin
+//!   wrappers around the same `HostState` methods the emulator calls
+//!   (commit, rollback, slow load and store, runtime-routine register
+//!   semantics), so the transactional machinery it shares with the
+//!   emulator is identical by construction; `backend_identity` gates
+//!   what stays backend-specific (inline TLB and alias screens,
+//!   chaining, IBTC patching).
 //!
 //! Compiled code is a pure cache of the arena: nothing in it is
 //! serialized, and a checkpoint restored into either backend replays
@@ -103,7 +108,7 @@ pub enum CheckKind {
     /// to an address that is not a registered helper.
     HelperCall,
     /// A context access (`[r15 + disp]` or derived) outside the
-    /// `NativeCtx` layout.
+    /// [`HostState`](crate::state::HostState) layout.
     CtxBounds,
     /// A load/store through a pointer not proven to be the context, a
     /// bounds-checked L0-TLB page pointer, or a profile table.

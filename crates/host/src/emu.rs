@@ -23,10 +23,17 @@
 //! * **Precise faults** — guest page faults and division by zero also roll
 //!   back to the checkpoint, which is what lets the controller service a
 //!   DARCO *data request* and simply re-enter the translation.
+//!
+//! All of that machinery lives in the emulator's [`HostState`], whose
+//! methods (commit, rollback, slow load and store, register-op semantics)
+//! this loop calls. The native backend runs over the same state and calls
+//! the same methods from its slow paths; what stays here is the
+//! instruction dispatch and the retire-event stream the timing models
+//! consume.
 
-use crate::insn::{FAluOp, FCmpOp, FUnOp2, HAluOp, HInsn};
+use crate::insn::{add_rel, FAluOp, FUnOp2, HAluOp, HInsn};
 use crate::sink::{EventKind, InsnSink, RetireEvent};
-use darco_guest::mem::PageFault;
+use crate::state::{HostState, CAUSE_ASSERT, CAUSE_DIV_ZERO, CAUSE_EXIT, CAUSE_TRIP};
 use darco_guest::{GuestMem, Width};
 use std::collections::HashMap;
 
@@ -121,7 +128,9 @@ pub struct ExitInfo {
     pub chkpt_pc: usize,
 }
 
-/// Aggregate emulator counters.
+/// Aggregate emulator counters (`#[repr(C)]`: part of the [`HostState`]
+/// layout native code addresses).
+#[repr(C)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EmuCounters {
     /// Checkpoints taken.
@@ -142,62 +151,13 @@ pub struct EmuCounters {
     pub smc_aborts: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct StoreEnt {
-    seq: u16,
-    addr: u32,
-    len: u8,
-    data: u64,
-}
-
-/// Outcome of buffering one store (page faults are reported separately).
-enum StoreOut {
-    /// Buffered.
-    Done,
-    /// Alias violation against a younger speculative load.
-    Alias,
-    /// The store targets a marked code page.
-    Smc,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct SpecLoad {
-    seq: u16,
-    addr: u32,
-    len: u8,
-}
-
-#[derive(Clone)]
-struct Snapshot {
-    iregs: [u32; 64],
-    fregs: [f64; 64],
-    host_pc: usize,
-    gcnt_bb: u64,
-    gcnt_sb: u64,
-}
-
-/// The host functional emulator. Holds the host register files (into which
-/// the software layer maps the guest architectural state) and the
-/// speculation machinery.
+/// The host functional emulator: the [`HostState`] (register files, into
+/// which the software layer maps the guest architectural state, and the
+/// speculation machinery) plus the retire-event buffer of block-granular
+/// sinks. It dereferences to its state, so `emu.iregs`, `emu.counters`
+/// and the other state fields read as fields of the emulator.
 pub struct HostEmulator {
-    /// Integer register file.
-    pub iregs: [u32; 64],
-    /// Floating-point register file.
-    pub fregs: [f64; 64],
-    /// Aggregate counters.
-    pub counters: EmuCounters,
-    /// Guest instructions retired in basic-block-mode translations.
-    pub gcnt_bb: u64,
-    /// Guest instructions retired in superblock-mode translations.
-    pub gcnt_sb: u64,
-    /// Host instructions attributed to BBM execution (see `gcnt`).
-    pub host_bb: u64,
-    /// Host instructions attributed to SBM execution.
-    pub host_sb: u64,
-    pub(crate) unattributed: u64,
-    store_buf: Vec<StoreEnt>,
-    spec_loads: Vec<SpecLoad>,
-    snapshot: Snapshot,
+    st: Box<HostState>,
     /// Retire events buffered for block-granular sinks
     /// ([`InsnSink::wants_blocks`]); drained at architectural boundaries.
     block_buf: Vec<RetireEvent>,
@@ -213,128 +173,28 @@ impl std::fmt::Debug for HostEmulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HostEmulator")
             .field("counters", &self.counters)
-            .field("buffered_stores", &self.store_buf.len())
+            .field("buffered_stores", &self.store_len)
             .finish()
+    }
+}
+
+impl std::ops::Deref for HostEmulator {
+    type Target = HostState;
+    fn deref(&self) -> &HostState {
+        &self.st
+    }
+}
+
+impl std::ops::DerefMut for HostEmulator {
+    fn deref_mut(&mut self) -> &mut HostState {
+        &mut self.st
     }
 }
 
 impl HostEmulator {
     /// Creates an emulator with zeroed register files.
     pub fn new() -> HostEmulator {
-        HostEmulator {
-            iregs: [0; 64],
-            fregs: [0.0; 64],
-            counters: EmuCounters::default(),
-            gcnt_bb: 0,
-            gcnt_sb: 0,
-            host_bb: 0,
-            host_sb: 0,
-            unattributed: 0,
-            store_buf: Vec::new(),
-            spec_loads: Vec::new(),
-            block_buf: Vec::new(),
-            snapshot: Snapshot {
-                iregs: [0; 64],
-                fregs: [0.0; 64],
-                host_pc: 0,
-                gcnt_bb: 0,
-                gcnt_sb: 0,
-            },
-        }
-    }
-
-    fn take_snapshot(&mut self, pc: usize) {
-        self.snapshot.iregs = self.iregs;
-        self.snapshot.fregs = self.fregs;
-        self.snapshot.host_pc = pc;
-        self.snapshot.gcnt_bb = self.gcnt_bb;
-        self.snapshot.gcnt_sb = self.gcnt_sb;
-    }
-
-    fn rollback(&mut self) -> usize {
-        self.iregs = self.snapshot.iregs;
-        self.fregs = self.snapshot.fregs;
-        self.gcnt_bb = self.snapshot.gcnt_bb;
-        self.gcnt_sb = self.snapshot.gcnt_sb;
-        self.store_buf.clear();
-        self.spec_loads.clear();
-        self.snapshot.host_pc
-    }
-
-    /// Drains the host-instruction count not yet attributed to a mode
-    /// (work since the last `gcnt`; the caller attributes it by the kind
-    /// of the translation execution stopped in).
-    pub fn drain_unattributed(&mut self) -> u64 {
-        std::mem::take(&mut self.unattributed)
-    }
-
-    fn commit(&mut self, mem: &mut GuestMem) {
-        // `store_buf` is kept sorted by `seq` at insertion, so commit
-        // applies stores in program order without sorting.
-        for e in &self.store_buf {
-            let bytes = e.data.to_le_bytes();
-            mem.write(e.addr, &bytes[..e.len as usize]).expect("store page probed at execute");
-        }
-        self.store_buf.clear();
-        self.spec_loads.clear();
-        self.counters.commits += 1;
-    }
-
-    /// Reads `len` bytes at `addr` as seen by a memory operation with
-    /// original sequence number `seq`: memory overlaid with older buffered
-    /// stores, in program order.
-    fn read_mem(&self, mem: &GuestMem, addr: u32, len: u8, seq: u16) -> Result<u64, PageFault> {
-        let mut buf = [0u8; 8];
-        mem.read(addr, &mut buf[..len as usize])?;
-        // Overlay forwarding-eligible buffered stores. `store_buf` is
-        // sorted by `seq`, so a plain scan forwards in program order and
-        // can stop at the first younger store.
-        for e in &self.store_buf {
-            if e.seq >= seq {
-                break;
-            }
-            if !overlaps(e.addr, e.len, addr, len) {
-                continue;
-            }
-            let d = e.data.to_le_bytes();
-            for i in 0..e.len as u64 {
-                let a = e.addr as u64 + i;
-                if a >= addr as u64 && a < addr as u64 + len as u64 {
-                    buf[(a - addr as u64) as usize] = d[i as usize];
-                }
-            }
-        }
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    /// Buffers a store; checks code-page hits (self-modifying code) and
-    /// alias violations against executed speculative loads that are
-    /// *younger* in program order.
-    fn write_mem(
-        &mut self,
-        mem: &GuestMem,
-        addr: u32,
-        len: u8,
-        data: u64,
-        seq: u16,
-    ) -> Result<StoreOut, PageFault> {
-        mem.probe(addr, len as u32, true)?;
-        // Self-modifying store: abort before the write enters the
-        // transaction (checked before the alias screen; the native
-        // backend's slow store helper must match this order).
-        if mem.is_code(addr, len as u32) {
-            return Ok(StoreOut::Smc);
-        }
-        for l in &self.spec_loads {
-            if l.seq > seq && overlaps(l.addr, l.len, addr, len) {
-                return Ok(StoreOut::Alias);
-            }
-        }
-        // Insertion keeps the buffer sorted by `seq`; stores almost always
-        // arrive in program order, so this is an O(1) append in practice.
-        let pos = self.store_buf.iter().rposition(|e| e.seq <= seq).map_or(0, |i| i + 1);
-        self.store_buf.insert(pos, StoreEnt { seq, addr, len, data });
-        Ok(StoreOut::Done)
+        HostEmulator { st: HostState::new_boxed(), block_buf: Vec::new() }
     }
 
     /// Executes host code starting at word index `entry` until an exit
@@ -354,13 +214,14 @@ impl HostEmulator {
         fuel: u64,
         sink: &mut S,
     ) -> ExitInfo {
+        let st = &mut *self.st;
+        let block_buf = &mut self.block_buf;
         let mut pc = entry;
-        let mut executed: u64 = 0;
         // Hoisted once: per-instruction delivery vs block buffering is a
         // property of the sink, decided before the hot loop.
         let buffered = sink.wants_blocks();
-        self.block_buf.clear();
-        self.take_snapshot(pc);
+        block_buf.clear();
+        st.begin(pc, fuel);
 
         // Event delivery: per-instruction for plain sinks, buffered for
         // block-granular ones. The stream a buffered sink sees across
@@ -370,7 +231,7 @@ impl HostEmulator {
             ($ev:expr) => {{
                 let ev = $ev;
                 if buffered {
-                    self.block_buf.push(ev);
+                    block_buf.push(ev);
                 } else {
                     sink.retire(&ev);
                 }
@@ -379,36 +240,35 @@ impl HostEmulator {
 
         macro_rules! flush {
             ($complete:expr) => {
-                if buffered && !self.block_buf.is_empty() {
-                    sink.retire_block(&self.block_buf, $complete);
-                    self.block_buf.clear();
+                if buffered && !block_buf.is_empty() {
+                    sink.retire_block(block_buf, $complete);
+                    block_buf.clear();
                 }
             };
         }
 
-        macro_rules! exit_rollback {
-            ($cause:expr) => {{
-                flush!(false);
-                let chkpt_pc = self.rollback();
-                return ExitInfo { cause: $cause, executed, host_pc: pc, chkpt_pc };
+        // Leaves with the exit info the state already holds; `complete`
+        // tells a block sink whether the buffered tail committed.
+        macro_rules! exit {
+            ($complete:expr) => {{
+                flush!($complete);
+                return st.exit_info();
             }};
         }
 
         loop {
             let insn = code[pc];
-            executed += insn.dyn_cost();
-            self.unattributed += insn.dyn_cost();
+            st.executed += insn.dyn_cost();
+            st.unattributed += insn.dyn_cost();
             let mut next = pc + 1;
             match insn {
                 HInsn::Alu { op, rd, ra, rb } => {
-                    let a = self.iregs[ra.index()];
-                    let b = self.iregs[rb.index()];
-                    if matches!(op, HAluOp::Div | HAluOp::Rem) && b == 0 {
+                    if matches!(op, HAluOp::Div | HAluOp::Rem) && st.iregs[rb.index()] == 0 {
                         emit!(RetireEvent::plain(pc as u64, EventKind::IntDiv));
-                        self.counters.page_faults += 0; // no-op; keeps match simple
-                        exit_rollback!(ExitCause::DivByZero);
+                        st.rollback(pc, CAUSE_DIV_ZERO, 0, 0);
+                        exit!(false);
                     }
-                    self.iregs[rd.index()] = eval_halu(op, a, b);
+                    st.reg_op(insn);
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: alu_kind(op),
@@ -417,13 +277,12 @@ impl HostEmulator {
                     });
                 }
                 HInsn::AluI { op, rd, ra, imm } => {
-                    let a = self.iregs[ra.index()];
-                    let b = imm as i32 as u32;
-                    if matches!(op, HAluOp::Div | HAluOp::Rem) && b == 0 {
+                    if matches!(op, HAluOp::Div | HAluOp::Rem) && imm == 0 {
                         emit!(RetireEvent::plain(pc as u64, EventKind::IntDiv));
-                        exit_rollback!(ExitCause::DivByZero);
+                        st.rollback(pc, CAUSE_DIV_ZERO, 0, 0);
+                        exit!(false);
                     }
-                    self.iregs[rd.index()] = eval_halu(op, a, b);
+                    st.reg_op(insn);
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: alu_kind(op),
@@ -431,8 +290,8 @@ impl HostEmulator {
                         srcs: [Some(ra.0), None],
                     });
                 }
-                HInsn::Lui { rd, imm } => {
-                    self.iregs[rd.index()] = (imm as u32) << 16;
+                HInsn::Lui { rd, .. } | HInsn::Li16 { rd, .. } => {
+                    st.reg_op(insn);
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: EventKind::IntAlu,
@@ -440,8 +299,8 @@ impl HostEmulator {
                         srcs: [None, None],
                     });
                 }
-                HInsn::OriZ { rd, imm } => {
-                    self.iregs[rd.index()] |= imm as u32;
+                HInsn::OriZ { rd, .. } => {
+                    st.reg_op(insn);
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: EventKind::IntAlu,
@@ -449,120 +308,52 @@ impl HostEmulator {
                         srcs: [Some(rd.0), None],
                     });
                 }
-                HInsn::Li16 { rd, imm } => {
-                    self.iregs[rd.index()] = imm as i32 as u32;
+                HInsn::Load { rd, base, off, width, sign, spec, seq } => {
+                    let addr = st.iregs[base.index()].wrapping_add(off as u32);
+                    let len = width.bytes() as u8;
                     emit!(RetireEvent {
                         host_pc: pc as u64,
-                        kind: EventKind::IntAlu,
+                        kind: EventKind::Load { addr, bytes: len },
                         dst: Some(rd.0),
-                        srcs: [None, None],
+                        srcs: [Some(base.0), None],
                     });
-                }
-                HInsn::Load { rd, base, off, width, sign, spec, seq } => {
-                    let addr = self.iregs[base.index()].wrapping_add(off as u32);
-                    let len = width.bytes() as u8;
-                    match self.read_mem(mem, addr, len, seq) {
-                        Ok(raw) => {
-                            let v = extend(raw, width, sign);
-                            self.iregs[rd.index()] = v;
-                            if spec {
-                                self.spec_loads.push(SpecLoad { seq, addr, len });
-                            }
-                            emit!(RetireEvent {
-                                host_pc: pc as u64,
-                                kind: EventKind::Load { addr, bytes: len },
-                                dst: Some(rd.0),
-                                srcs: [Some(base.0), None],
-                            });
-                        }
-                        Err(pf) => {
-                            emit!(RetireEvent {
-                                host_pc: pc as u64,
-                                kind: EventKind::Load { addr, bytes: len },
-                                dst: Some(rd.0),
-                                srcs: [Some(base.0), None],
-                            });
-                            self.counters.page_faults += 1;
-                            exit_rollback!(ExitCause::PageFault { addr: pf.addr, write: false });
-                        }
-                    }
+                    let Some(raw) = st.load(mem, pc, addr, len, seq, spec) else { exit!(false) };
+                    st.iregs[rd.index()] = extend(raw, width, sign);
                 }
                 HInsn::Store { rs, base, off, width, spec: _, seq } => {
-                    let addr = self.iregs[base.index()].wrapping_add(off as u32);
+                    let addr = st.iregs[base.index()].wrapping_add(off as u32);
                     let len = width.bytes() as u8;
-                    let data = self.iregs[rs.index()] as u64;
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: EventKind::Store { addr, bytes: len },
                         dst: None,
                         srcs: [Some(rs.0), Some(base.0)],
                     });
-                    match self.write_mem(mem, addr, len, data, seq) {
-                        Ok(StoreOut::Done) => {}
-                        Ok(StoreOut::Smc) => {
-                            self.counters.smc_aborts += 1;
-                            exit_rollback!(ExitCause::SmcWrite { addr });
-                        }
-                        Ok(StoreOut::Alias) => {
-                            self.counters.alias_fails += 1;
-                            exit_rollback!(ExitCause::AliasFail);
-                        }
-                        Err(pf) => {
-                            self.counters.page_faults += 1;
-                            exit_rollback!(ExitCause::PageFault { addr: pf.addr, write: true });
-                        }
+                    if !st.store(mem, pc, addr, len, st.iregs[rs.index()] as u64, seq) {
+                        exit!(false);
                     }
                 }
                 HInsn::LoadF { fd, base, off, spec, seq } => {
-                    let addr = self.iregs[base.index()].wrapping_add(off as u32);
-                    match self.read_mem(mem, addr, 8, seq) {
-                        Ok(raw) => {
-                            self.fregs[fd.index()] = f64::from_bits(raw);
-                            if spec {
-                                self.spec_loads.push(SpecLoad { seq, addr, len: 8 });
-                            }
-                            emit!(RetireEvent {
-                                host_pc: pc as u64,
-                                kind: EventKind::Load { addr, bytes: 8 },
-                                dst: Some(crate::sink::fp_reg(fd.0)),
-                                srcs: [Some(base.0), None],
-                            });
-                        }
-                        Err(pf) => {
-                            emit!(RetireEvent {
-                                host_pc: pc as u64,
-                                kind: EventKind::Load { addr, bytes: 8 },
-                                dst: Some(crate::sink::fp_reg(fd.0)),
-                                srcs: [Some(base.0), None],
-                            });
-                            self.counters.page_faults += 1;
-                            exit_rollback!(ExitCause::PageFault { addr: pf.addr, write: false });
-                        }
-                    }
+                    let addr = st.iregs[base.index()].wrapping_add(off as u32);
+                    emit!(RetireEvent {
+                        host_pc: pc as u64,
+                        kind: EventKind::Load { addr, bytes: 8 },
+                        dst: Some(crate::sink::fp_reg(fd.0)),
+                        srcs: [Some(base.0), None],
+                    });
+                    let Some(raw) = st.load(mem, pc, addr, 8, seq, spec) else { exit!(false) };
+                    st.fregs[fd.index()] = f64::from_bits(raw);
                 }
                 HInsn::StoreF { fs, base, off, spec: _, seq } => {
-                    let addr = self.iregs[base.index()].wrapping_add(off as u32);
-                    let data = self.fregs[fs.index()].to_bits();
+                    let addr = st.iregs[base.index()].wrapping_add(off as u32);
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: EventKind::Store { addr, bytes: 8 },
                         dst: None,
                         srcs: [Some(crate::sink::fp_reg(fs.0)), Some(base.0)],
                     });
-                    match self.write_mem(mem, addr, 8, data, seq) {
-                        Ok(StoreOut::Done) => {}
-                        Ok(StoreOut::Smc) => {
-                            self.counters.smc_aborts += 1;
-                            exit_rollback!(ExitCause::SmcWrite { addr });
-                        }
-                        Ok(StoreOut::Alias) => {
-                            self.counters.alias_fails += 1;
-                            exit_rollback!(ExitCause::AliasFail);
-                        }
-                        Err(pf) => {
-                            self.counters.page_faults += 1;
-                            exit_rollback!(ExitCause::PageFault { addr: pf.addr, write: true });
-                        }
+                    if !st.store(mem, pc, addr, 8, st.fregs[fs.index()].to_bits(), seq) {
+                        exit!(false);
                     }
                 }
                 HInsn::B { rel } => {
@@ -575,7 +366,7 @@ impl HostEmulator {
                     });
                 }
                 HInsn::Bl { rel } => {
-                    self.iregs[crate::regs::R_LINK.index()] = (pc + 1) as u32;
+                    st.iregs[crate::regs::R_LINK.index()] = (pc + 1) as u32;
                     next = add_rel(pc, rel);
                     emit!(RetireEvent {
                         host_pc: pc as u64,
@@ -585,7 +376,7 @@ impl HostEmulator {
                     });
                 }
                 HInsn::Blr => {
-                    next = self.iregs[crate::regs::R_LINK.index()] as usize;
+                    next = st.iregs[crate::regs::R_LINK.index()] as usize;
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: EventKind::Branch { taken: true, target: next as u64, cond: false },
@@ -593,21 +384,8 @@ impl HostEmulator {
                         srcs: [Some(crate::regs::R_LINK.0), None],
                     });
                 }
-                HInsn::Bz { rs, rel } => {
-                    let taken = self.iregs[rs.index()] == 0;
-                    let target = add_rel(pc, rel);
-                    if taken {
-                        next = target;
-                    }
-                    emit!(RetireEvent {
-                        host_pc: pc as u64,
-                        kind: EventKind::Branch { taken, target: target as u64, cond: true },
-                        dst: None,
-                        srcs: [Some(rs.0), None],
-                    });
-                }
-                HInsn::Bnz { rs, rel } => {
-                    let taken = self.iregs[rs.index()] != 0;
+                HInsn::Bz { rs, rel } | HInsn::Bnz { rs, rel } => {
+                    let taken = (st.iregs[rs.index()] == 0) == matches!(insn, HInsn::Bz { .. });
                     let target = add_rel(pc, rel);
                     if taken {
                         next = target;
@@ -620,9 +398,7 @@ impl HostEmulator {
                     });
                 }
                 HInsn::FAlu { op, fd, fa, fb } => {
-                    let a = self.fregs[fa.index()];
-                    let b = self.fregs[fb.index()];
-                    self.fregs[fd.index()] = eval_falu(op, a, b);
+                    st.reg_op(insn);
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: falu_kind(op),
@@ -631,13 +407,7 @@ impl HostEmulator {
                     });
                 }
                 HInsn::FUn { op, fd, fa } => {
-                    let a = self.fregs[fa.index()];
-                    self.fregs[fd.index()] = match op {
-                        FUnOp2::Mov => a,
-                        FUnOp2::Sqrt => a.sqrt(),
-                        FUnOp2::Abs => a.abs(),
-                        FUnOp2::Neg => -a,
-                    };
+                    st.reg_op(insn);
                     let kind = if op == FUnOp2::Sqrt { EventKind::FpSqrt } else { EventKind::FpAdd };
                     emit!(RetireEvent {
                         host_pc: pc as u64,
@@ -646,16 +416,8 @@ impl HostEmulator {
                         srcs: [Some(crate::sink::fp_reg(fa.0)), None],
                     });
                 }
-                HInsn::FCmp { op, rd, fa, fb } => {
-                    let a = self.fregs[fa.index()];
-                    let b = self.fregs[fb.index()];
-                    let v = match op {
-                        FCmpOp::Lt => a < b,
-                        FCmpOp::Le => a <= b,
-                        FCmpOp::Eq => a == b,
-                        FCmpOp::Unord => a.is_nan() || b.is_nan(),
-                    };
-                    self.iregs[rd.index()] = v as u32;
+                HInsn::FCmp { rd, fa, fb, .. } => {
+                    st.reg_op(insn);
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: EventKind::FpAdd,
@@ -664,7 +426,7 @@ impl HostEmulator {
                     });
                 }
                 HInsn::CvtIF { fd, ra } => {
-                    self.fregs[fd.index()] = self.iregs[ra.index()] as i32 as f64;
+                    st.reg_op(insn);
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: EventKind::FpAdd,
@@ -673,7 +435,7 @@ impl HostEmulator {
                     });
                 }
                 HInsn::CvtFI { rd, fa } => {
-                    self.iregs[rd.index()] = self.fregs[fa.index()] as i32 as u32;
+                    st.reg_op(insn);
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: EventKind::FpAdd,
@@ -681,8 +443,8 @@ impl HostEmulator {
                         srcs: [Some(crate::sink::fp_reg(fa.0)), None],
                     });
                 }
-                HInsn::FLoadImm { fd, bits } => {
-                    self.fregs[fd.index()] = f64::from_bits(bits);
+                HInsn::FLoadImm { fd, .. } => {
+                    st.reg_op(insn);
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: EventKind::Other,
@@ -691,65 +453,38 @@ impl HostEmulator {
                     });
                 }
                 HInsn::Chkpt => {
-                    self.commit(mem);
                     // The committed transaction is a complete block; the
                     // checkpoint event itself opens the next one, so memo
                     // blocks are keyed by their checkpoint pc.
                     flush!(true);
                     emit!(RetireEvent::plain(pc as u64, EventKind::Other));
-                    if self.gcnt_bb + self.gcnt_sb >= fuel {
-                        flush!(false);
-                        return ExitInfo {
-                            cause: ExitCause::Fuel,
-                            executed,
-                            host_pc: pc,
-                            chkpt_pc: pc,
-                        };
+                    if st.chkpt(mem, pc) {
+                        exit!(false);
                     }
-                    self.take_snapshot(pc);
-                    self.counters.chkpts += 1;
                 }
                 HInsn::Commit => {
-                    self.commit(mem);
+                    st.commit(mem);
                     emit!(RetireEvent::plain(pc as u64, EventKind::Other));
                 }
-                HInsn::AssertZ { rs } => {
+                HInsn::AssertZ { rs } | HInsn::AssertNz { rs } => {
                     emit!(RetireEvent {
                         host_pc: pc as u64,
                         kind: EventKind::IntAlu,
                         dst: None,
                         srcs: [Some(rs.0), None],
                     });
-                    if self.iregs[rs.index()] != 0 {
-                        self.counters.assert_fails += 1;
-                        exit_rollback!(ExitCause::AssertFail);
-                    }
-                }
-                HInsn::AssertNz { rs } => {
-                    emit!(RetireEvent {
-                        host_pc: pc as u64,
-                        kind: EventKind::IntAlu,
-                        dst: None,
-                        srcs: [Some(rs.0), None],
-                    });
-                    if self.iregs[rs.index()] == 0 {
-                        self.counters.assert_fails += 1;
-                        exit_rollback!(ExitCause::AssertFail);
+                    if (st.iregs[rs.index()] == 0) != matches!(insn, HInsn::AssertZ { .. }) {
+                        st.rollback(pc, CAUSE_ASSERT, 0, 0);
+                        exit!(false);
                     }
                 }
                 HInsn::TolExit { id } | HInsn::ChainSlot { id } => {
                     emit!(RetireEvent::plain(pc as u64, EventKind::Other));
-                    self.commit(mem);
-                    flush!(true);
-                    return ExitInfo {
-                        cause: ExitCause::Exit { id },
-                        executed,
-                        host_pc: pc,
-                        chkpt_pc: self.snapshot.host_pc,
-                    };
+                    st.exit_commit(mem, pc, CAUSE_EXIT, id as u32);
+                    exit!(true);
                 }
                 HInsn::IbtcJmp { rs, id } => {
-                    let guest_target = self.iregs[rs.index()];
+                    let guest_target = st.iregs[rs.index()];
                     // The software IBTC probe: hash, table load, compare.
                     let table_addr = 0xF000_0000u32 | ((guest_target >> 2) & 0x3FF) << 3;
                     emit!(RetireEvent {
@@ -772,55 +507,30 @@ impl HostEmulator {
                         srcs: [Some(58), None],
                     });
                     emit!(RetireEvent::plain(pc as u64, EventKind::IntAlu));
-                    match ibtc.get(&guest_target) {
-                        Some(&hpc) => {
-                            self.counters.ibtc_hits += 1;
-                            next = hpc;
-                            emit!(RetireEvent {
-                                host_pc: pc as u64,
-                                kind: EventKind::Branch {
-                                    taken: true,
-                                    target: hpc as u64,
-                                    cond: false,
-                                },
-                                dst: None,
-                                srcs: [Some(58), None],
-                            });
-                        }
-                        None => {
-                            self.counters.ibtc_misses += 1;
-                            emit!(RetireEvent {
-                                host_pc: pc as u64,
-                                kind: EventKind::Branch {
-                                    taken: false,
-                                    target: pc as u64 + 1,
-                                    cond: false,
-                                },
-                                dst: None,
-                                srcs: [Some(58), None],
-                            });
-                            self.commit(mem);
-                            flush!(true);
-                            return ExitInfo {
-                                cause: ExitCause::Exit { id },
-                                executed,
-                                host_pc: pc,
-                                chkpt_pc: self.snapshot.host_pc,
-                            };
-                        }
+                    let hit = st.ibtc_probe(ibtc, mem, guest_target, pc, id);
+                    let target = hit.map_or(pc as u64 + 1, |hpc| hpc as u64);
+                    emit!(RetireEvent {
+                        host_pc: pc as u64,
+                        kind: EventKind::Branch { taken: hit.is_some(), target, cond: false },
+                        dst: None,
+                        srcs: [Some(58), None],
+                    });
+                    match hit {
+                        Some(hpc) => next = hpc,
+                        None => exit!(true),
                     }
                 }
                 HInsn::Gcnt { n, sb } => {
                     // Attribute host work since the previous attribution
                     // point to this mode (fig. 5's per-mode emulation cost).
                     if sb {
-                        self.gcnt_sb += n as u64;
-                        self.host_sb += self.unattributed;
+                        st.gcnt_sb += n as u64;
+                        st.host_sb += st.unattributed;
                     } else {
-                        self.gcnt_bb += n as u64;
-                        self.host_bb += self.unattributed;
+                        st.gcnt_bb += n as u64;
+                        st.host_bb += st.unattributed;
                     }
-                    self.unattributed = 0;
+                    st.unattributed = 0;
                 }
                 HInsn::Count { idx } => {
                     let slot = PROF_TABLE_ADDR + idx * 8;
@@ -845,14 +555,8 @@ impl HostEmulator {
                     let i = idx as usize;
                     prof.counts[i] += 1;
                     if prof.trips[i] != 0 && prof.counts[i] == prof.trips[i] {
-                        self.commit(mem);
-                        flush!(true);
-                        return ExitInfo {
-                            cause: ExitCause::ProfileTrip { idx },
-                            executed,
-                            host_pc: pc,
-                            chkpt_pc: self.snapshot.host_pc,
-                        };
+                        st.exit_commit(mem, pc, CAUSE_TRIP, idx);
+                        exit!(true);
                     }
                 }
                 HInsn::Nop => {
@@ -862,17 +566,6 @@ impl HostEmulator {
             pc = next;
         }
     }
-}
-
-#[inline]
-fn add_rel(pc: usize, rel: i32) -> usize {
-    (pc as i64 + 1 + rel as i64) as usize
-}
-
-#[inline]
-fn overlaps(a: u32, alen: u8, b: u32, blen: u8) -> bool {
-    let (a, alen, b, blen) = (a as u64, alen as u64, b as u64, blen as u64);
-    a < b + blen && b < a + alen
 }
 
 #[inline]

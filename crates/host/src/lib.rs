@@ -15,8 +15,9 @@
 //! * the co-designed speculation primitives the paper describes:
 //!   `chkpt`/`commit` transactions with a gated store buffer, `assert`
 //!   instructions that replace biased branches inside superblocks, and
-//!   alias detection for speculatively reordered memory operations
-//!   ([`emu::HostEmulator`]);
+//!   alias detection for speculatively reordered memory operations, held
+//!   in one [`state::HostState`] that the reference emulator
+//!   ([`emu::HostEmulator`]) and the native backend both execute over;
 //! * code-cache glue: patchable [`HInsn::ChainSlot`] exits for translation
 //!   chaining and [`HInsn::IbtcJmp`] for the indirect-branch translation
 //!   cache;
@@ -38,6 +39,7 @@ pub mod insn;
 pub mod regs;
 pub mod runtime;
 pub mod sink;
+pub mod state;
 
 pub use codegen::{new_backend, Backend, HostCodeGen, JitStats};
 pub use emu::{ExitCause, ExitInfo, HostEmulator, IbtcTable, ProfTable};
@@ -46,3 +48,4 @@ pub use hasm::HAsm;
 pub use insn::{FAluOp, FCmpOp, FUnOp2, HAluOp, HInsn};
 pub use regs::{HFreg, HReg};
 pub use sink::{CountingSink, DynSink, EventKind, InsnSink, NullSink, RetireEvent};
+pub use state::HostState;

@@ -446,7 +446,9 @@ impl CodeCache {
         let seqs = r.get_u32s()?;
         restore_nonspec_seqs(&mut arena, &seqs)
             .map_err(|what| WireError::Malformed { at: r.pos(), what })?;
-        let n_trans = r.get_usize()?;
+        // Minimum encoded sizes (no exits, no superblock shape): u32 pc,
+        // u8 kind, four u64s, three u32s, u8 flags mask, two bools.
+        let n_trans = r.get_count(4 + 1 + 4 * 8 + 3 * 4 + 1 + 2)?;
         let mut translations = Vec::with_capacity(n_trans);
         for _ in 0..n_trans {
             let guest_pc = r.get_u32()?;
@@ -464,7 +466,8 @@ impl CodeCache {
             let host_base = r.get_usize()?;
             let len = r.get_usize()?;
             let encoded_words = r.get_usize()?;
-            let n_exits = r.get_usize()?;
+            // u8 kind, u8 flags, u32 deferred code, bool chain slot.
+            let n_exits = r.get_count(1 + 1 + 4 + 1)?;
             let mut exits = Vec::with_capacity(n_exits);
             for _ in 0..n_exits {
                 let kind = match r.get_u8()? {
@@ -494,7 +497,7 @@ impl CodeCache {
             let shape = if r.get_bool()? {
                 let entry = r.get_u32()?;
                 let bbs = r.get_u32s()?;
-                let n_dirs = r.get_usize()?;
+                let n_dirs = r.get_count(1)?;
                 let mut dirs = Vec::with_capacity(n_dirs);
                 for _ in 0..n_dirs {
                     dirs.push(match r.get_u8()? {
@@ -534,7 +537,8 @@ impl CodeCache {
         let mut chains_in = HashMap::new();
         for _ in 0..n_chains {
             let id = r.get_usize()?;
-            let n_slots = r.get_usize()?;
+            // u64 address plus an (empty at minimum) u32 slice.
+            let n_slots = r.get_count(8 + 8)?;
             let mut slots = Vec::with_capacity(n_slots);
             for _ in 0..n_slots {
                 let addr = r.get_usize()?;
@@ -831,6 +835,26 @@ mod tests {
         let bytes = w.finish();
         let mut other = CodeCache::new(1 << 12);
         assert!(other.restore_from(&mut WireReader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_forged_translation_count() {
+        let mut c = CodeCache::new(1 << 16);
+        let (t, code) = dummy_translation(&c, 0x1000, 4);
+        c.install(t, code);
+        let mut w = Wire::new();
+        c.snapshot_into(&mut w);
+        let mut bytes = w.finish();
+        // Walk the header to the translation count and forge it.
+        let mut r = WireReader::new(&bytes);
+        r.get_usize().unwrap();
+        r.get_u32s().unwrap();
+        r.get_u32s().unwrap();
+        let at = r.pos();
+        bytes[at..at + 8].copy_from_slice(&(u64::MAX >> 8).to_le_bytes());
+        let mut fresh = CodeCache::new(1 << 16);
+        let err = fresh.restore_from(&mut WireReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, WireError::Malformed { at: a, .. } if a == at), "{err}");
     }
 
     #[test]

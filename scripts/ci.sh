@@ -19,13 +19,16 @@
 #            baseline, live streaming <= 2%, sampling profiler <= 2%)
 #   engine — the committed BENCH_engine.json must pass its overhead gate
 #   backend — native-JIT-vs-emulator identity gate over every workload
+#            (the backend-specific lowering; the shared host state is
+#            one implementation)
 #   jit    — jit_speed smoke run + committed BENCH_jit.json sanity check
 #   fleet  — a six-job campaign with one deliberately panicking and one
 #            deliberately hanging job: both must be isolated (failed
 #            statuses + flight dump, sibling jobs unharmed) and the runner
 #            must exit 1 for the partial failure
-#   checkpoint — mid-run checkpoint/restore round trips (darco-run and
-#            a fleet --state-dir / --resume cycle)
+#   checkpoint — mid-run checkpoint/restore round trips (darco-run, one
+#            of them emulator -> native, and a fleet --state-dir /
+#            --resume cycle)
 #   profiler — darco-run --profile on two workloads: non-empty collapsed
 #            stacks whose region frames resolve in the JSON heatmap
 #   live   — darco-fleet run --live with a one-shot darco-top --once
@@ -132,8 +135,12 @@ stage "engine overhead gate (committed BENCH_engine.json)"
 stage_done
 
 # Native-backend identity gate (DESIGN.md §12): every workload under
-# both backends, every architectural outcome bit-identical. Passes
-# trivially (with a message) on hosts without a native JIT.
+# both backends, every architectural outcome bit-identical. Both
+# backends run over one HostState whose commit, rollback and slow memory
+# paths exist once, so this gates what stays backend-specific: the
+# lowered instruction semantics, inline TLB and alias screens, chaining
+# and IBTC patching. Passes trivially (with a message) on hosts without
+# a native JIT.
 stage "backend identity gate (native JIT vs emulator, all workloads)"
 ./target/release/backend_identity
 stage_done
@@ -185,10 +192,13 @@ stage_done
 # Checkpoints (DESIGN.md §11). First darco-run: checkpoint mid-run,
 # restore into a fresh process, and require the report (minus the
 # wall-clock MIPS figure) to be byte-identical to the checkpointing
-# run's on two workloads. Then the fleet: a zero timeout fires at the
-# first quantum boundary, so every job must checkpoint to --state-dir
-# (partial failure -> exit 1), and a --resume without the timeout must
-# finish every job from its snapshot with exit 0.
+# run's on two workloads, plus one round trip that checkpoints under the
+# emulator and restores under the native backend (restore writes the
+# shared host state both backends run over). Then the fleet: a zero
+# timeout fires at the first quantum boundary, so every job must
+# checkpoint to --state-dir (partial failure -> exit 1), and a --resume
+# without the timeout must finish every job from its snapshot with
+# exit 0.
 stage "checkpoint smoke (darco-run round trip + fleet resume)"
 strip_wall() { sed 's/ *([0-9.]* MIPS wall-clock)//' "$1"; }
 for wl in kernel:crc32 kernel:nbody; do
@@ -200,6 +210,11 @@ for wl in kernel:crc32 kernel:nbody; do
         > "$smoke_dir/res.txt" 2> /dev/null
     diff <(strip_wall "$smoke_dir/ck.txt") <(strip_wall "$smoke_dir/res.txt")
 done
+./target/release/darco-run kernel:crc32 --backend emu --checkpoint-at 100000 \
+    --checkpoint-to "$smoke_dir/xb.snap" > "$smoke_dir/ck.txt" 2> /dev/null
+./target/release/darco-run kernel:crc32 --backend native --restore "$smoke_dir/xb.snap" \
+    > "$smoke_dir/res.txt" 2> /dev/null
+diff <(strip_wall "$smoke_dir/ck.txt") <(strip_wall "$smoke_dir/res.txt")
 cat > "$smoke_dir/ckpt-campaign.json" <<'EOF'
 {
   "name": "ci-ckpt",
