@@ -2,9 +2,10 @@
 //!
 //! Runs the fig4–fig7 campaign (the full 31-benchmark suite under the
 //! default configuration — the same runs all four figure harnesses
-//! consume) at 1/2/4/8 pool workers, recording wall-clock per worker
-//! count and asserting the merged artifact is **byte-identical** across
-//! all of them — parallelism must never change results.
+//! consume) on the cooperative campaign runner `darco-fleet run` uses, at
+//! 1/2/4/8 workers, recording wall-clock per worker count and asserting
+//! the merged artifact is **byte-identical** across all of them —
+//! parallelism must never change results.
 //!
 //! Speedup is bounded by the host's CPU count (recorded as `host_cpus`);
 //! on a single-core host every worker count costs the same wall-clock
@@ -12,7 +13,8 @@
 
 use darco::json::JsonWriter;
 use darco_bench::Scale;
-use darco_fleet::{parse_campaign, run_campaign, Pool};
+use darco_fleet::{parse_campaign, run_campaign_cooperative, SchedOpts};
+use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -40,10 +42,10 @@ fn main() {
     println!("{:<8} {:>10} {:>10}", "workers", "wall s", "speedup");
     let mut rows: Vec<(usize, f64)> = Vec::new();
     let mut reference: Option<String> = None;
+    let stop = AtomicBool::new(false);
     for workers in WORKER_COUNTS {
-        let pool = Pool::new(workers);
         let t0 = Instant::now();
-        let outcome = run_campaign(&campaign, &pool, None);
+        let outcome = run_campaign_cooperative(&campaign, workers, &SchedOpts::default(), &stop);
         let wall = t0.elapsed().as_secs_f64();
         assert_eq!(outcome.failed_count(), 0, "figure suite must run clean");
         let merged = outcome.merged_json();

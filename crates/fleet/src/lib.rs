@@ -12,8 +12,9 @@
 //!   deterministic failures would fail identically);
 //! * **bounded-queue backpressure** — submission blocks when the pool's
 //!   queue is full, so a fast producer cannot balloon memory;
-//! * **graceful shutdown** — SIGINT poisons the pool; running jobs
-//!   finish, queued jobs drain as [`JobStatus::Skipped`].
+//! * **graceful shutdown** — SIGINT sets the cooperative scheduler's
+//!   stop flag; unstarted jobs drain as [`JobStatus::Skipped`] and live
+//!   engines checkpoint when a state dir is configured.
 //!
 //! The headline property is the **determinism contract**: campaign
 //! results are aggregated in job-id order and projected to their
@@ -35,7 +36,7 @@ pub use campaign::{parse_campaign, Campaign};
 pub use job::{JobKind, JobResult, JobSpec, JobStatus};
 pub use live::LiveHub;
 pub use pool::{Pool, TaskError};
-pub use runner::{execute_job, merge_results, run_campaign, CampaignOutcome};
+pub use runner::{execute_job, merge_results, CampaignOutcome};
 pub use sched::{run_campaign_cooperative, SchedOpts};
 pub use workload::{resolve, Resolved};
 

@@ -15,9 +15,8 @@
 //! [`Registry::merge`] (order-independent) — so the artifact is
 //! byte-identical for any worker count.
 
-use crate::campaign::Campaign;
 use crate::job::{run_payload, JobKind, JobResult, JobSpec, JobStatus};
-use crate::pool::{panic_message, Pool, TaskError};
+use crate::pool::panic_message;
 use crate::workload::{resolve, Resolved};
 use darco::machine::Machine;
 use darco::System;
@@ -200,41 +199,6 @@ impl CampaignOutcome {
     /// The merged deterministic artifact for this outcome.
     pub fn merged_json(&self) -> String {
         merge_results(&self.name, &self.results)
-    }
-}
-
-/// Runs every job of a campaign on the pool. Results come back in job-id
-/// order regardless of completion order; jobs that never started because
-/// the pool was poisoned (SIGINT) report [`JobStatus::Skipped`].
-pub fn run_campaign(c: &Campaign, pool: &Pool, flight_dir: Option<&Path>) -> CampaignOutcome {
-    let fd = flight_dir.map(Path::to_path_buf);
-    let raw = pool.map(c.jobs.clone(), move |_, spec| execute_job(spec, fd.as_deref()));
-    let results = raw
-        .into_iter()
-        .zip(&c.jobs)
-        .map(|(r, spec)| match r {
-            Ok(jr) => jr,
-            // `execute_job` catches job panics itself; these arms cover
-            // poisoning and bookkeeping panics.
-            Err(TaskError::Skipped) => placeholder(spec, JobStatus::Skipped),
-            Err(TaskError::Panicked(m)) => placeholder(spec, JobStatus::Panicked(m)),
-        })
-        .collect();
-    CampaignOutcome { name: c.name.clone(), results }
-}
-
-fn placeholder(spec: &JobSpec, status: JobStatus) -> JobResult {
-    JobResult {
-        id: spec.id,
-        workload: spec.workload.clone(),
-        tag: spec.tag.clone(),
-        status,
-        attempts: 0,
-        wall_ms: 0,
-        metrics: None,
-        payload: None,
-        flight_path: None,
-        checkpoint_path: None,
     }
 }
 

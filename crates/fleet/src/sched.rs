@@ -1,10 +1,11 @@
-//! Cooperative engine scheduling: N engines time-sliced per worker.
+//! Cooperative engine scheduling: N engines time-sliced per worker — the
+//! fleet's one campaign runner.
 //!
 //! The pool ([`crate::pool`]) treats a job as an opaque blocking closure,
 //! which forces the wall-clock timeout onto a helper thread and makes a
 //! timed-out simulation unrecoverable — the attempt is abandoned and all
 //! its progress lost. With the run loop inverted ([`darco::Engine`]),
-//! the fleet owns the loop instead: each worker holds a *slate* of live
+//! the campaign runner owns the loop instead: each worker holds a *slate* of live
 //! engines and round-robins [`Engine::step`] over them one quantum at a
 //! time. Between quanta the worker is at a synchronization-safe boundary
 //! for every engine it owns, so it can
@@ -26,7 +27,7 @@
 //! Determinism: a job's simulation is a pure function of its spec, so
 //! per-job results are identical whatever worker ran them and however
 //! often they were checkpointed and resumed; the campaign artifact is
-//! merged in id order exactly as in the pool path. The determinism
+//! merged in id order ([`crate::runner::merge_results`]). The determinism
 //! regression drives this at 1, 2 and 8 workers with an injected
 //! checkpoint/resume cycle.
 
@@ -583,21 +584,6 @@ mod tests {
         assert_eq!(back.metrics.unwrap().to_json(), r.metrics.unwrap().to_json());
         assert_eq!(back.wall_ms, 0, "scheduling fields are not persisted");
         assert!(decode_result(b"junk").is_err());
-    }
-
-    #[test]
-    fn cooperative_run_matches_pool_run() {
-        let c = parse_campaign(
-            r#"{"name":"coop","defaults":{"scale":"1/4"},
-                "jobs":[{"workload":"kernel:dot"},{"workload":"kernel:crc32"},
-                        {"workload":"fault:panic"}]}"#,
-        )
-        .unwrap();
-        let pool = crate::Pool::new(2);
-        let via_pool = crate::runner::run_campaign(&c, &pool, None).merged_json();
-        let via_coop =
-            run_campaign_cooperative(&c, 2, &SchedOpts::default(), &no_stop()).merged_json();
-        assert_eq!(via_pool, via_coop, "both schedulers produce the same artifact");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! must merge to byte-identical artifacts — the contract every figure
 //! built on fleet output relies on.
 
-use darco_fleet::{parse_campaign, run_campaign, run_campaign_cooperative, LiveHub, Pool, SchedOpts};
+use darco_fleet::{parse_campaign, run_campaign_cooperative, LiveHub, SchedOpts};
 use std::sync::atomic::AtomicBool;
 
 const CAMPAIGN: &str = r#"{
@@ -23,10 +23,11 @@ const CAMPAIGN: &str = r#"{
 #[test]
 fn merged_artifact_is_byte_identical_across_worker_counts() {
     let campaign = parse_campaign(CAMPAIGN).unwrap();
+    let stop = AtomicBool::new(false);
+    let opts = SchedOpts { quantum: 5_000, ..SchedOpts::default() };
     let mut artifacts = Vec::new();
     for workers in [1usize, 2, 8] {
-        let pool = Pool::new(workers);
-        let outcome = run_campaign(&campaign, &pool, None);
+        let outcome = run_campaign_cooperative(&campaign, workers, &opts, &stop);
         assert_eq!(outcome.results.len(), 6);
         // Results land in id order whatever the completion order was.
         for (i, r) in outcome.results.iter().enumerate() {
@@ -50,29 +51,6 @@ fn merged_artifact_is_byte_identical_across_worker_counts() {
         !reference.contains("wall_ms") && !reference.contains("_nanos"),
         "deterministic artifact must hold no wall-clock data"
     );
-}
-
-#[test]
-fn cooperative_artifact_is_byte_identical_across_worker_counts() {
-    let campaign = parse_campaign(CAMPAIGN).unwrap();
-    let stop = AtomicBool::new(false);
-    let opts = SchedOpts { quantum: 5_000, ..SchedOpts::default() };
-    let mut artifacts = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let outcome = run_campaign_cooperative(&campaign, workers, &opts, &stop);
-        assert_eq!(outcome.results.len(), 6);
-        for (i, r) in outcome.results.iter().enumerate() {
-            assert_eq!(r.id, i as u64);
-        }
-        artifacts.push((workers, outcome.merged_json()));
-    }
-    let (_, reference) = &artifacts[0];
-    for (workers, artifact) in &artifacts[1..] {
-        assert_eq!(
-            artifact, reference,
-            "cooperative artifact differs between --jobs 1 and --jobs {workers}"
-        );
-    }
 }
 
 #[test]

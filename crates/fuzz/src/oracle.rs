@@ -9,6 +9,16 @@
 //! counts, exit status, guest fault) and, between the emulator and
 //! native backends of the identical configuration, the per-cause exit
 //! counter stream. Semantic-verifier findings are treated as crashes.
+//!
+//! The `im` lane's internal validation compares the TOL's interpreter
+//! with the authoritative component, and both replay guest blocks through
+//! the same `darco_guest::DecodeCache::run`. So the `im` lane still
+//! checks the controller's protocol (sync points, data requests,
+//! syscalls, retire counts) and serves as the untranslated reference for
+//! the other lanes, but it cannot catch a bug in the shared replay
+//! itself. That replay is checked against the fetch-per-instruction
+//! reference `exec::step` by `block_replay_matches_step_reference` in
+//! `tests/hotpath_equivalence.rs`.
 
 use darco::{DarcoError, RunReport, SinkChoice, System, SystemConfig, TimingMode};
 use darco_host::codegen::Backend;

@@ -1,29 +1,36 @@
-//! Predecoded guest basic-block cache.
+//! Predecoded guest basic-block cache and the one block replay over it.
 //!
 //! Interpreting guest code costs a fetch + decode per executed
 //! instruction, and the fetch alone touches memory byte-wise in the worst
-//! case. Both DARCO interpreters — the TOL's IM interpreter and the
-//! authoritative x86 component's replay loop — execute the same basic
-//! blocks over and over between promotions and sync points, so decoding
-//! each block once and replaying the predecoded run amortizes nearly all
-//! of that cost.
+//! case. DARCO interprets the same basic blocks over and over between
+//! promotions and sync points, so decoding each block once and replaying
+//! the predecoded run amortizes nearly all of that cost.
 //!
 //! [`DecodeCache`] maps a block's entry PC to its decoded instruction run
-//! (a [`Block`]). Coherence with self-modifying code relies on
-//! [`GuestMem`]'s code-page generation: every page a decoded block's bytes
-//! occupy is marked with [`GuestMem::mark_code_page`], any write to a
-//! marked page bumps [`GuestMem::code_gen`], and [`DecodeCache::block`]
-//! flushes the whole cache whenever the generation moved. Replay loops
-//! must additionally re-check the generation after each executed
-//! instruction to catch a block modifying *itself* mid-run.
+//! (a [`Block`]), and [`DecodeCache::run`] replays one block through
+//! [`exec_insn`] and reports why it stopped ([`BlockStop`]). It is the
+//! only block replay: the TOL's interpretation mode and the authoritative
+//! component's catch-up both call it and differ only in how they handle a
+//! stop. [`crate::exec::step`] stays the fetch-per-instruction reference
+//! it is tested against.
+//!
+//! Coherence with self-modifying code relies on [`GuestMem`]'s code-page
+//! generation: every page a decoded block's bytes occupy is marked with
+//! [`GuestMem::mark_code_page`], any write to a marked page bumps
+//! [`GuestMem::code_gen`], and [`DecodeCache::block`] flushes the whole
+//! cache whenever the generation moved. The replay re-checks the
+//! generation after every retired instruction, so a block that modifies
+//! *itself* stops before stale bytes can execute.
 
-use crate::exec::{fetch, Fault};
+use crate::exec::{exec_insn, fetch, Fault, Next};
 use crate::insn::Insn;
 use crate::mem::{GuestMem, PAGE_SHIFT};
+use crate::state::GuestState;
 use std::collections::HashMap;
 
-/// Cap on decoded instructions per block; mirrors the interpreter's
-/// artificial block split (`MAX_BLOCK_INSNS`).
+/// Cap on decoded instructions per block. The TOL's interpreter and its
+/// translator split blocks at the same point, so IM profiling and
+/// translations agree on block heads.
 pub const MAX_BLOCK_INSNS: usize = 128;
 
 /// Cache-size backstop: a full flush past this many blocks keeps the
@@ -41,6 +48,54 @@ pub struct Block {
     /// short — by the size cap or because the next fetch faulted — and
     /// execution past it must re-enter the cache at the next PC.
     pub terminated: bool,
+}
+
+/// Why a block replay stopped.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BlockStop {
+    /// The block ended normally (branch, jump, call or ret); `EIP` holds
+    /// the next PC.
+    End,
+    /// The budget ran out, or the run was cut short (size cap, faulting
+    /// tail, or a store into decoded code). Resumable at `EIP`.
+    Budget,
+    /// The next instruction is a syscall; `EIP` points at it.
+    Syscall,
+    /// The next instruction is `halt`; `EIP` points at it.
+    Halt,
+    /// A page fault; `EIP` points at the faulting instruction (resumable
+    /// once the page is installed).
+    PageFault {
+        /// Faulting address.
+        addr: u32,
+        /// Write access?
+        write: bool,
+    },
+    /// A non-recoverable guest fault (bad opcode, division by zero).
+    GuestError(Fault),
+}
+
+impl From<Fault> for BlockStop {
+    fn from(f: Fault) -> BlockStop {
+        match f {
+            Fault::Page(pf) => BlockStop::PageFault { addr: pf.addr, write: pf.write },
+            f => BlockStop::GuestError(f),
+        }
+    }
+}
+
+/// Result of replaying (up to) one basic block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlockRun {
+    /// PC the block started at.
+    pub entry_pc: u32,
+    /// Guest instructions retired.
+    pub insns: u64,
+    /// Why the replay stopped.
+    pub stop: BlockStop,
+    /// For blocks ending in a conditional branch: `(taken_target,
+    /// fallthrough, taken?)` — feeds the edge profiler.
+    pub jcc: Option<(u32, u32, bool)>,
 }
 
 /// A decode cache keyed by block entry PC (see module docs).
@@ -91,6 +146,85 @@ impl DecodeCache {
             self.blocks.insert(pc, b);
         }
         Ok(&self.blocks[&pc])
+    }
+
+    /// Replays (up to) one predecoded basic block entered at `st.eip`,
+    /// retiring at most `budget` instructions. A `REP` string instruction
+    /// re-executes in place, each element retiring once.
+    ///
+    /// The budget is checked first, so the replay stops *before* `syscall`
+    /// or `halt` only with budget left to retire them; it never executes
+    /// either, leaving the caller to run the synchronization protocol. On
+    /// a fault the state is unchanged and `EIP` points at the faulting
+    /// instruction. A block cut short at predecode because the next fetch
+    /// faulted stops with [`BlockStop::Budget`]; the next call re-enters
+    /// at that PC and reports the fault with `insns == 0`.
+    pub fn run(&mut self, st: &mut GuestState, budget: u64) -> BlockRun {
+        let entry_pc = st.eip;
+        let stopped = |insns, stop| BlockRun { entry_pc, insns, stop, jcc: None };
+        if budget == 0 {
+            return stopped(0, BlockStop::Budget);
+        }
+        let block = match self.block(&mut st.mem, entry_pc) {
+            Ok(b) => b,
+            Err(f) => return stopped(0, f.into()),
+        };
+        let gen0 = st.mem.code_gen();
+        let mut insns = 0u64;
+        // `st.eip == pc` on every iteration: `exec_insn` leaves EIP alone.
+        let mut pc = entry_pc;
+        for &(ref insn, len) in &block.insns {
+            loop {
+                if insns >= budget {
+                    return stopped(insns, BlockStop::Budget);
+                }
+                match insn {
+                    Insn::Syscall => return stopped(insns, BlockStop::Syscall),
+                    Insn::Halt => return stopped(insns, BlockStop::Halt),
+                    _ => {}
+                }
+                let next = match exec_insn(st, insn, pc, len) {
+                    Ok(next) => next,
+                    Err(f) => return stopped(insns, f.into()),
+                };
+                insns += 1;
+                let fall = pc.wrapping_add(len);
+                let end = |taken| {
+                    let jcc = match *insn {
+                        Insn::Jcc { rel, .. } => Some((fall.wrapping_add(rel as u32), fall, taken)),
+                        _ => None,
+                    };
+                    BlockRun { entry_pc, insns, stop: BlockStop::End, jcc }
+                };
+                match next {
+                    Next::RepContinue => {} // re-execute in place: EIP stays
+                    Next::Seq if insn.ends_block() => {
+                        st.eip = fall;
+                        return end(false); // not-taken conditional branch
+                    }
+                    Next::Seq => st.eip = fall,
+                    Next::Jump(t) => {
+                        st.eip = t;
+                        return end(true);
+                    }
+                    Next::Syscall | Next::Halt => {
+                        unreachable!("syscall/halt are intercepted before execution")
+                    }
+                }
+                // A store may have overwritten this very block: stop so the
+                // next entry re-decodes.
+                if st.mem.code_gen() != gen0 {
+                    return stopped(insns, BlockStop::Budget);
+                }
+                if matches!(next, Next::Seq) {
+                    pc = fall;
+                    break;
+                }
+            }
+        }
+        // Cut short at predecode (size cap or faulting tail): the next
+        // call re-enters the cache at `EIP`.
+        stopped(insns, BlockStop::Budget)
     }
 
     fn decode_block(mem: &mut GuestMem, entry: u32) -> Result<Block, Fault> {
@@ -144,10 +278,7 @@ mod tests {
     use crate::{Asm, Gpr};
 
     fn mem_with(build: impl FnOnce(&mut Asm)) -> GuestMem {
-        let mut a = Asm::new(DEFAULT_CODE_BASE);
-        build(&mut a);
-        let p = a.into_program();
-        crate::GuestState::boot(&p).mem
+        boot(build).mem
     }
 
     #[test]
@@ -208,5 +339,155 @@ mod tests {
         let mut dc = DecodeCache::new();
         assert!(matches!(dc.block(&mut mem, 0x5000), Err(Fault::Page(_))));
         assert!(dc.is_empty());
+    }
+
+    fn boot(build: impl FnOnce(&mut Asm)) -> GuestState {
+        let mut a = Asm::new(DEFAULT_CODE_BASE);
+        build(&mut a);
+        GuestState::boot(&a.into_program())
+    }
+
+    #[test]
+    fn stops_at_block_end_with_edge_info() {
+        let mut st = boot(|a| {
+            a.mov_ri(Gpr::Eax, 1);
+            a.cmp_ri(Gpr::Eax, 1);
+            let l = a.label();
+            a.jcc_to(crate::Cond::E, l);
+            a.nop();
+            a.bind(l);
+            a.halt();
+        });
+        let mut dc = DecodeCache::new();
+        let run = dc.run(&mut st, u64::MAX);
+        assert_eq!(run.stop, BlockStop::End);
+        assert_eq!(run.insns, 3);
+        let (_taken_t, _fall, taken) = run.jcc.unwrap();
+        assert!(taken);
+        // Next block: halt is intercepted.
+        let run2 = dc.run(&mut st, u64::MAX);
+        assert_eq!(run2.stop, BlockStop::Halt);
+        assert_eq!(run2.insns, 0);
+    }
+
+    #[test]
+    fn syscall_is_not_executed() {
+        let mut st = boot(|a| {
+            a.mov_ri(Gpr::Eax, 2);
+            a.syscall();
+            a.halt();
+        });
+        let run = DecodeCache::new().run(&mut st, u64::MAX);
+        assert_eq!(run.stop, BlockStop::Syscall);
+        assert_eq!(run.insns, 1);
+        // EIP points at the syscall itself.
+        let (insn, _) = fetch(&st.mem, st.eip).unwrap();
+        assert_eq!(insn, Insn::Syscall);
+    }
+
+    #[test]
+    fn budget_splits_blocks_resumably() {
+        let mut st = boot(|a| {
+            for _ in 0..10 {
+                a.inc(Gpr::Eax);
+            }
+            a.halt();
+        });
+        let mut dc = DecodeCache::new();
+        let run = dc.run(&mut st, 4);
+        assert_eq!(run.stop, BlockStop::Budget);
+        assert_eq!(run.insns, 4);
+        let run2 = dc.run(&mut st, u64::MAX);
+        assert_eq!(run2.insns, 6);
+        assert_eq!(st.gpr(Gpr::Eax), 10);
+    }
+
+    #[test]
+    fn page_fault_is_resumable() {
+        let mut st = boot(|a| {
+            a.mov_ri(Gpr::Ebx, 0x0900_0000);
+            a.load(Gpr::Ecx, crate::Addr::base(Gpr::Ebx));
+            a.halt();
+        });
+        let mut dc = DecodeCache::new();
+        let run = dc.run(&mut st, u64::MAX);
+        assert!(matches!(run.stop, BlockStop::PageFault { addr: 0x0900_0000, write: false }));
+        st.mem.map_zero(0x0900_0000 >> 12);
+        let run2 = dc.run(&mut st, u64::MAX);
+        assert_eq!(run2.stop, BlockStop::Halt);
+    }
+
+    #[test]
+    fn long_straightline_code_splits() {
+        let mut st = boot(|a| {
+            for _ in 0..200 {
+                a.nop();
+            }
+            a.halt();
+        });
+        let run = DecodeCache::new().run(&mut st, u64::MAX);
+        assert_eq!(run.stop, BlockStop::Budget);
+        assert_eq!(run.insns, MAX_BLOCK_INSNS as u64);
+    }
+
+    /// A block that patches one of its *own* upcoming instructions: the
+    /// per-retire generation check must stop replay of the stale run and
+    /// the re-decode must execute the new bytes.
+    #[test]
+    fn intra_block_self_modification_is_observed() {
+        use crate::insn::UnaryOp;
+        use crate::{Addr, Width};
+        let enc = |op: UnaryOp| {
+            let mut b = Vec::new();
+            crate::encode(&Insn::Unary { op, dst: Gpr::Eax }, &mut b);
+            b
+        };
+        let dec_bytes = enc(UnaryOp::Dec);
+        assert_eq!(enc(UnaryOp::Inc).len(), dec_bytes.len(), "patch preserves length");
+        let n = dec_bytes.len();
+        let build = |target: u32| {
+            let dec_bytes = dec_bytes.clone();
+            move |a: &mut Asm| {
+                a.mov_ri(Gpr::Ebx, target as i32);
+                for (i, &byte) in dec_bytes.iter().enumerate() {
+                    a.mov_ri(Gpr::Ecx, byte as i32);
+                    a.store(Addr { disp: i as i32, ..Addr::base(Gpr::Ebx) }, Gpr::Ecx, Width::B);
+                }
+                a.inc(Gpr::Eax); // patched to `dec eax` by the stores above
+                a.halt();
+            }
+        };
+        // Pass 1 with a same-magnitude placeholder to learn the layout.
+        let mut probe = Asm::new(DEFAULT_CODE_BASE);
+        build(DEFAULT_CODE_BASE)(&mut probe);
+        let target = {
+            let st = GuestState::boot(&probe.into_program());
+            // Walk the patch preamble to the patch target's address.
+            let mut pc = DEFAULT_CODE_BASE;
+            for _ in 0..1 + 2 * n {
+                let (_, len) = fetch(&st.mem, pc).unwrap();
+                pc += len;
+            }
+            pc
+        };
+        let mut st = boot(build(target));
+        let mut dc = DecodeCache::new();
+        // Each patch store bumps the code generation, cutting replay of
+        // the now-stale block (an artificial Budget split); the re-decode
+        // must pick up the new bytes before control reaches them.
+        let mut splits = 0;
+        loop {
+            let run = dc.run(&mut st, u64::MAX);
+            match run.stop {
+                BlockStop::Halt => break,
+                BlockStop::Budget => {
+                    splits += 1;
+                    assert!(splits < 20, "no forward progress");
+                }
+                other => panic!("unexpected stop: {other:?}"),
+            }
+        }
+        assert!(splits >= 1, "the generation check must cut the stale replay");
+        assert_eq!(st.gpr(Gpr::Eax), u32::MAX, "the patched dec ran, not the stale inc");
     }
 }

@@ -90,8 +90,8 @@ pub enum TraceEventKind {
     Rollback {
         /// Guest entry PC of the rolled-back region.
         pc: u32,
-        /// Host instructions executed in the region before the rollback
-        /// (the rollback distance).
+        /// Host instructions the failed dispatch executed, across every
+        /// region it chained through before the rollback.
         host_insns: u64,
     },
     /// A failing superblock was recreated as multiple-exit.

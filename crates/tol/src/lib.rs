@@ -4,9 +4,9 @@
 //! TOL executes the guest program in three modes and promotes code between
 //! them as it gets hotter:
 //!
-//! 1. **IM** (interpretation mode): instructions are interpreted one by
-//!    one ([`interp`]) while software repetition counters profile basic
-//!    blocks;
+//! 1. **IM** (interpretation mode): basic blocks are interpreted through
+//!    the guest crate's block replay (`darco_guest::DecodeCache::run`)
+//!    while software repetition counters profile them;
 //! 2. **BBM** (basic-block translation mode): a block whose counter
 //!    crosses `bbm_threshold` is translated to the host ISA
 //!    ([`translate`]) with basic optimizations (constant folding + DCE)
@@ -44,7 +44,6 @@
 pub mod cache;
 pub mod config;
 pub mod flags;
-pub mod interp;
 pub mod obs;
 pub mod overhead;
 pub mod sbm;

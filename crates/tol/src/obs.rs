@@ -26,7 +26,7 @@ pub struct TolObs {
     h_translate_bb: HistoId,
     h_translate_sb: HistoId,
     h_region_guest_insns: HistoId,
-    h_rollback_host_insns: HistoId,
+    h_rollback_dispatch_host_insns: HistoId,
     last_mode: Option<ExecMode>,
 }
 
@@ -44,14 +44,14 @@ impl TolObs {
         let h_translate_bb = metrics.histogram("tol.translate_ns.bb");
         let h_translate_sb = metrics.histogram("tol.translate_ns.sb");
         let h_region_guest_insns = metrics.histogram("tol.region_guest_insns");
-        let h_rollback_host_insns = metrics.histogram("tol.rollback_host_insns");
+        let h_rollback_dispatch_host_insns = metrics.histogram("tol.rollback_dispatch_host_insns");
         TolObs {
             trace: Tracer::Off,
             metrics,
             h_translate_bb,
             h_translate_sb,
             h_region_guest_insns,
-            h_rollback_host_insns,
+            h_rollback_dispatch_host_insns,
             last_mode: None,
         }
     }
@@ -96,10 +96,11 @@ impl TolObs {
         self.metrics.record(self.h_region_guest_insns, guest_insns as u64);
     }
 
-    /// Records a rollback's distance (host instructions executed in the
-    /// region before the failure).
+    /// Records a rollback with `host_insns`, the host instructions the
+    /// whole failed dispatch executed (`ExitInfo::executed`): every region
+    /// it chained through, not only the one whose speculation failed.
     pub fn rollback(&mut self, pc: u32, host_insns: u64) {
-        self.metrics.record(self.h_rollback_host_insns, host_insns);
+        self.metrics.record(self.h_rollback_dispatch_host_insns, host_insns);
         self.emit(TraceEventKind::Rollback { pc, host_insns });
     }
 
@@ -112,7 +113,7 @@ impl TolObs {
         self.h_translate_bb = self.metrics.histogram("tol.translate_ns.bb");
         self.h_translate_sb = self.metrics.histogram("tol.translate_ns.sb");
         self.h_region_guest_insns = self.metrics.histogram("tol.region_guest_insns");
-        self.h_rollback_host_insns = self.metrics.histogram("tol.rollback_host_insns");
+        self.h_rollback_dispatch_host_insns = self.metrics.histogram("tol.rollback_dispatch_host_insns");
         self.last_mode = None;
     }
 

@@ -4,11 +4,11 @@
 use crate::cache::{CodeCache, TransKind, Translation};
 use crate::config::{BugKind, TolConfig, VerifyLevel, VerifyMode};
 use crate::flags::{self, PendingFlags};
-use crate::interp::{self, BlockStop};
 use crate::obs::TolObs;
 use crate::overhead::{Accountant, CostModel, Overhead, OverheadKind};
 use crate::sbm::{self, SbShape};
 use crate::translate::{self, EdgeCounters};
+use darco_guest::predecode::{BlockStop, MAX_BLOCK_INSNS};
 use darco_guest::{DecodeCache, Fault, GuestState, Wire, WireError, WireReader, PAGE_SHIFT};
 use darco_host::codegen::{Backend, CheckMode, HostCodeGen, JitStats};
 use darco_host::emu::ProfTable;
@@ -502,8 +502,8 @@ impl Tol {
             // Interpret one basic block.
             self.obs.mode(ExecMode::Im, st.eip);
             flags::resolve(st, &mut self.pending_flags);
-            let budget = limit - self.total_guest();
-            let run = interp::interpret_block_cached(st, budget, &mut self.decode);
+            let budget = (limit - self.total_guest()).min(MAX_BLOCK_INSNS as u64);
+            let run = self.decode.run(st, budget);
             self.stats.guest_im += run.insns;
             self.stats.interp_blocks += 1;
             self.acct.charge(

@@ -17,14 +17,12 @@
 
 use darco_guest::exec::{self};
 use darco_guest::insn::{AluOp, Insn, ShiftAmount, ShiftOp, UnaryOp};
+use darco_guest::predecode::MAX_BLOCK_INSNS;
 use darco_guest::reg::{Addr, Cond, Width};
 use darco_guest::{Fault, GuestMem};
 use darco_host::{FAluOp, FCmpOp, FUnOp2, HAluOp};
 use darco_ir::{ExitDesc, ExitKind, FlagsKind, Inst, IrOp, RegClass, Region, VReg};
 use std::collections::HashMap;
-
-/// Maximum instructions per decoded block before an artificial split.
-pub const MAX_BLOCK_INSNS: usize = 128;
 
 /// A decoded guest instruction with its location.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -433,3 +433,68 @@ fn randomized_programs_are_equivalent_across_the_full_stack() {
         }
     }
 }
+
+#[test]
+fn rollback_histogram_records_the_whole_chained_dispatch() {
+    // An inner loop (its own region, not unrolled, so it leaves through
+    // a chained exit rather than a failing assert) falls through into a
+    // superblock whose biased branch asserts and fails every fourth outer
+    // iteration. A dispatch that reaches the failure chains through the
+    // inner loop's region first, so its sample must cover that work too:
+    // it is the dispatch's `ExitInfo::executed`, not the distance inside
+    // the failing region.
+    const INNER: i32 = 300;
+    let mut a = Asm::new(DEFAULT_CODE_BASE);
+    a.mov_ri(Gpr::Ecx, 200);
+    let top = a.here();
+    a.mov_ri(Gpr::Edx, INNER);
+    let inner = a.here();
+    a.add_rr(Gpr::Eax, Gpr::Edx);
+    a.dec(Gpr::Edx);
+    a.jcc_to(Cond::Ne, inner);
+    let failing = a.addr();
+    a.emit(Insn::TestRI { a: Gpr::Ecx, imm: 3 });
+    let skip = a.label();
+    a.jcc_to(Cond::Ne, skip);
+    a.alu_ri(AluOp::Xor, Gpr::Ebx, 0x77);
+    a.bind(skip);
+    a.dec(Gpr::Ecx);
+    a.jcc_to(Cond::Ne, top);
+    a.halt();
+    let p = a.into_program();
+    let cfg = TolConfig {
+        bbm_threshold: 3,
+        sbm_threshold: 12,
+        edge_bias: 0.6,
+        assert_fail_limit: u32::MAX,
+        unroll: false,
+        ..TolConfig::default()
+    };
+    let mut st = GuestState::boot(&p);
+    let mut tol = Tol::new(cfg);
+    tol.obs.trace = darco_obs::Tracer::ring(1 << 20);
+    assert!(matches!(tol.run(&mut st, u64::MAX, &mut NullSink), TolEvent::Halted));
+
+    let h = tol.obs.metrics.histogram_ref("tol.rollback_dispatch_host_insns").unwrap();
+    assert!(h.count > 0 && h.count == tol.stats.spec_rollbacks + tol.stats.smc_aborts);
+    let samples: Vec<u64> = tol
+        .obs
+        .trace
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            darco_obs::TraceEventKind::Rollback { pc, host_insns } if pc == failing => {
+                Some(host_insns)
+            }
+            _ => None,
+        })
+        .collect();
+    let id = tol.cache.lookup(failing).expect("the failing block is translated");
+    // One pass through the failing region, at the dearest host insn's cost.
+    let one_pass = 6 * tol.cache.translation(id).len as u64;
+    let longest = samples.iter().copied().max().expect("the second region rolls back");
+    assert!(
+        longest > one_pass && longest >= 2 * INNER as u64,
+        "longest sample {longest} spans only the failing region (one pass <= {one_pass})"
+    );
+}

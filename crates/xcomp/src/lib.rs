@@ -13,6 +13,13 @@
 //! instructions — deterministic execution makes the two streams
 //! identical), then serves data requests, executes system calls, and
 //! validates the co-designed state against this one.
+//!
+//! Catch-up replays guest code through `darco_guest::DecodeCache::run`,
+//! the same block replay the TOL's interpretation mode uses. This
+//! component adds only the OS side of each stop: a syscall retires
+//! through [`XComponent::exec_syscall`], `halt` ends the application, a
+//! page fault demand-maps a zero page and re-enters, and any other fault
+//! is an [`XcompError::GuestFault`].
 
 pub mod os;
 pub mod process;
@@ -20,8 +27,9 @@ pub mod process;
 pub use os::{SyscallOutcome, OS_EXIT, OS_GETPID, OS_READ, OS_SBRK, OS_TIME, OS_WRITE};
 pub use process::ProcessTracker;
 
-use darco_guest::exec::{self, Next};
+use darco_guest::exec;
 use darco_guest::insn::Insn;
+use darco_guest::predecode::BlockStop;
 use darco_guest::{DecodeCache, Fault, GuestProgram, GuestState};
 
 /// Errors from driving the authoritative component.
@@ -62,7 +70,7 @@ pub struct XComponent {
     os: os::OsState,
     halted: bool,
     exited: Option<u32>,
-    /// Predecoded guest-block cache backing the replay loop.
+    /// Predecoded guest-block cache the catch-up replay runs over.
     decode: DecodeCache,
 }
 
@@ -153,11 +161,9 @@ impl XComponent {
     /// Returns [`XcompError::GuestFault`] on a program error, and
     /// [`XcompError::RanPastEnd`] if `count` lies beyond program end.
     pub fn run_until(&mut self, count: u64) -> Result<(), XcompError> {
-        while self.insns < count {
-            if self.ended() {
-                return Err(XcompError::RanPastEnd);
-            }
-            self.run_block(count - self.insns)?;
+        self.replay(count)?;
+        if self.insns < count {
+            return Err(XcompError::RanPastEnd);
         }
         Ok(())
     }
@@ -208,114 +214,42 @@ impl XComponent {
         self.state.mem.page(page).expect("just mapped").to_vec()
     }
 
-    /// Replays (up to) one predecoded basic block — at most `budget`
-    /// retired instructions — with transparent syscall handling and
-    /// demand paging. The hot-path counterpart of stepping one
-    /// instruction at a time: each block is decoded once and replayed on
-    /// every revisit (see `darco_guest::predecode`).
-    fn run_block(&mut self, budget: u64) -> Result<(), XcompError> {
-        let entry_pc = self.state.eip;
-        // Field-level borrows: the block borrows `self.decode`; the replay
-        // below only touches the other fields.
-        let block = match self.decode.block(&mut self.state.mem, entry_pc) {
-            Ok(b) => b,
-            Err(Fault::Page(pf)) => {
-                // Demand paging on the instruction fetch itself.
-                self.state.mem.map_zero(darco_guest::GuestMem::page_of(pf.addr));
-                return Ok(());
-            }
-            Err(f) => return Err(XcompError::GuestFault(f)),
-        };
-        let mut retired = 0u64;
-        let mut pc = entry_pc;
-        // A store can overwrite the running block (self-modifying code):
-        // re-check the code generation after every retire and bail out so
-        // the next entry re-decodes.
-        let gen0 = self.state.mem.code_gen();
-        for &(ref insn, len) in &block.insns {
-            // The inner loop retries faulting accesses after demand
-            // paging and re-executes `REP` string instructions in place.
-            loop {
-                if retired >= budget {
-                    return Ok(());
-                }
-                match insn {
-                    Insn::Syscall => {
-                        // Counting must match the co-designed side: the
-                        // syscall retires as one instruction.
-                        self.state.eip = pc.wrapping_add(len);
-                        self.insns += 1;
-                        let outcome =
-                            os::do_syscall(&mut self.state, &mut self.os, &mut self.output);
-                        if let SyscallOutcome::Exit(code) = outcome {
-                            self.exited = Some(code);
-                        }
-                        return Ok(());
-                    }
-                    Insn::Halt => {
-                        self.halted = true;
-                        return Ok(());
-                    }
-                    _ => {}
-                }
-                match exec::exec_insn(&mut self.state, insn, pc, len) {
-                    Ok(next) => {
-                        self.insns += 1;
-                        retired += 1;
-                        match next {
-                            Next::RepContinue => {
-                                self.state.eip = pc;
-                                if self.state.mem.code_gen() != gen0 {
-                                    return Ok(());
-                                }
-                                continue;
-                            }
-                            Next::Seq => {
-                                self.state.eip = pc.wrapping_add(len);
-                                if insn.ends_block() || self.state.mem.code_gen() != gen0 {
-                                    return Ok(());
-                                }
-                                pc = self.state.eip;
-                                break;
-                            }
-                            Next::Jump(t) => {
-                                self.state.eip = t;
-                                return Ok(());
-                            }
-                            Next::Syscall | Next::Halt => {
-                                unreachable!("syscall/halt are intercepted before execution")
-                            }
-                        }
-                    }
-                    Err(Fault::Page(pf)) => {
-                        // Demand paging: the OS maps a zero page and the
-                        // access retries. (A real OS would fault on wild
-                        // kernel-space addresses; OS-lite is permissive —
-                        // see DESIGN.md.)
-                        self.state.mem.map_zero(darco_guest::GuestMem::page_of(pf.addr));
-                        self.state.eip = pc;
-                        continue;
-                    }
-                    Err(f) => return Err(XcompError::GuestFault(f)),
-                }
-            }
-        }
-        // Block cut short at predecode (size cap or faulting tail): the
-        // next call re-enters the cache at the current PC.
-        Ok(())
-    }
-
     /// Runs until the application ends (halt or exit), up to `max`
     /// instructions.
     ///
     /// # Errors
     /// Propagates guest faults; errors if `max` is exceeded.
     pub fn run_to_end(&mut self, max: u64) -> Result<(), XcompError> {
-        while !self.ended() {
-            if self.insns >= max {
-                return Err(XcompError::RanPastEnd);
+        self.replay(max)?;
+        if !self.ended() {
+            return Err(XcompError::RanPastEnd);
+        }
+        Ok(())
+    }
+
+    /// Replays predecoded blocks (`darco_guest::DecodeCache::run`) until
+    /// `limit` instructions have retired or the application ends,
+    /// executing syscalls and demand-paging on the way (OS behaviour).
+    fn replay(&mut self, limit: u64) -> Result<(), XcompError> {
+        while self.insns < limit && !self.ended() {
+            let run = self.decode.run(&mut self.state, limit - self.insns);
+            self.insns += run.insns;
+            match run.stop {
+                BlockStop::End | BlockStop::Budget => {}
+                // The replay stops before a syscall only with budget left
+                // to retire it, as one instruction on both components.
+                BlockStop::Syscall => {
+                    self.exec_syscall()?;
+                }
+                BlockStop::Halt => self.halted = true,
+                // A real OS would fault on wild kernel-space addresses;
+                // OS-lite maps a zero page and the access retries (see
+                // DESIGN.md).
+                BlockStop::PageFault { addr, .. } => {
+                    self.state.mem.map_zero(darco_guest::GuestMem::page_of(addr));
+                }
+                BlockStop::GuestError(f) => return Err(XcompError::GuestFault(f)),
             }
-            self.run_block(max - self.insns)?;
         }
         Ok(())
     }

@@ -25,7 +25,9 @@
 #   fleet  — a six-job campaign with one deliberately panicking and one
 #            deliberately hanging job: both must be isolated (failed
 #            statuses + flight dump, sibling jobs unharmed) and the runner
-#            must exit 1 for the partial failure
+#            must exit 1 for the partial failure; plus a tiny-scale
+#            fleet_scaling smoke (merged artifact byte-identical at
+#            1/2/4/8 workers)
 #   checkpoint — mid-run checkpoint/restore round trips (darco-run, one
 #            of them emulator -> native, and a fleet --state-dir /
 #            --resume cycle)
@@ -187,6 +189,12 @@ grep -q '"status":"panicked"' "$smoke_dir/merged.json"      # panic isolated, no
 grep -q '"status":"timeout"'  "$smoke_dir/merged.json"      # hang cut off by the timeout
 test "$(grep -o '"status":"ok"' "$smoke_dir/merged.json" | wc -l)" -eq 4  # siblings unharmed
 test -s "$smoke_dir/flights/job-2.flight.json"              # panicked job dumped flight state
+# fleet_scaling asserts the merged artifact is byte-identical at 1/2/4/8
+# workers; it writes BENCH_fleet.json into the cwd, so run it from the
+# smoke dir to leave the committed measurement alone.
+fleet_scaling_bin="$PWD/target/release/fleet_scaling"
+(cd "$smoke_dir" && "$fleet_scaling_bin" --scale 1/512 > /dev/null)
+test -s "$smoke_dir/BENCH_fleet.json"
 stage_done
 
 # Checkpoints (DESIGN.md §11). First darco-run: checkpoint mid-run,
