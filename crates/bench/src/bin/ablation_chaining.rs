@@ -2,11 +2,13 @@
 //! overhead"): disabling them must multiply TOL invocations (prologue +
 //! lookup overhead).
 
-use darco_bench::{default_config, jobs_from_args, run_jobs, Scale};
+use darco_bench::measure::{self, Args};
+use darco_bench::{default_config, run_jobs, Scale};
 use darco_workloads::benchmarks;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = Args::from_env(Scale(1, 1), measure::SCALE_JOBS);
+    let scale = args.scale;
     let all = benchmarks();
     // Two jobs per benchmark — chained, then chaining+IBTC off — on the
     // fleet pool.
@@ -19,7 +21,7 @@ fn main() {
         cfg.tol.ibtc = false;
         work.push((b.clone(), cfg));
     }
-    let rows = run_jobs(scale, jobs_from_args(), work);
+    let rows = run_jobs(scale, args.jobs, work);
     println!("== A2: chaining + IBTC on/off ==");
     println!(
         "{:<16} {:>14} {:>14} {:>10}",

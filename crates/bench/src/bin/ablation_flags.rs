@@ -3,11 +3,13 @@
 //! consumed"): strict mode materializes all five flags at every
 //! flag-writing instruction and must raise the SBM emulation cost.
 
-use darco_bench::{default_config, jobs_from_args, run_jobs, suite_avg, Scale};
+use darco_bench::measure::{self, Args};
+use darco_bench::{default_config, run_jobs, suite_avg, Scale};
 use darco_workloads::{benchmarks, Suite};
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = Args::from_env(Scale(1, 1), measure::SCALE_JOBS);
+    let scale = args.scale;
     let ints: Vec<_> = benchmarks().into_iter().filter(|b| b.suite == Suite::SpecInt).collect();
     // Two jobs per benchmark, lazy then strict, run on the fleet pool.
     let mut work = Vec::new();
@@ -17,7 +19,7 @@ fn main() {
         cfg.tol.strict_flags = true;
         work.push((b.clone(), cfg));
     }
-    let rows = run_jobs(scale, jobs_from_args(), work);
+    let rows = run_jobs(scale, args.jobs, work);
     let mut rows_lazy = Vec::new();
     let mut rows_strict = Vec::new();
     println!("== A1: lazy vs strict guest-flag materialization (SPECINT) ==");

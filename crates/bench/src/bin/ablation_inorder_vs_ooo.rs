@@ -3,11 +3,13 @@
 //! instruction streams.
 
 use darco::SinkChoice;
-use darco_bench::{default_config, jobs_from_args, run_jobs, with_timing, Scale};
+use darco_bench::measure::{self, Args};
+use darco_bench::{default_config, run_jobs, with_timing, Scale};
 use darco_workloads::benchmarks;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = Args::from_env(Scale(1, 1), measure::SCALE_JOBS);
+    let scale = args.scale;
     let all = benchmarks();
     // Two jobs per benchmark — wide in-order, narrow out-of-order — on
     // the fleet pool.
@@ -23,7 +25,7 @@ fn main() {
         cfg.power = true;
         work.push((b.clone(), cfg));
     }
-    let rows = run_jobs(scale, jobs_from_args(), work);
+    let rows = run_jobs(scale, args.jobs, work);
     println!("== A4: wide in-order vs narrow out-of-order ==");
     println!(
         "{:<16} {:>10} {:>10} {:>12} {:>12}",

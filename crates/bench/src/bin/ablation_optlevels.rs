@@ -2,14 +2,16 @@
 //! O0 (straight translation), O1 (fold+DCE), O2 (+copy-prop/CSE),
 //! O3 (+memory disambiguation, scheduling).
 
-use darco_bench::{default_config, jobs_from_args, run_jobs, Scale};
+use darco_bench::measure::{self, Args};
+use darco_bench::{default_config, run_jobs, Scale};
 use darco_ir::OptLevel;
 use darco_workloads::benchmarks;
 
 const LEVELS: [OptLevel; 4] = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3];
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = Args::from_env(Scale(1, 1), measure::SCALE_JOBS);
+    let scale = args.scale;
     let all = benchmarks();
     // Four jobs per benchmark (one per level) on the fleet pool.
     let mut work = Vec::new();
@@ -20,7 +22,7 @@ fn main() {
             work.push((all[idx].clone(), cfg));
         }
     }
-    let rows = run_jobs(scale, jobs_from_args(), work);
+    let rows = run_jobs(scale, args.jobs, work);
     println!("== A5: SBM emulation cost by optimization level ==");
     println!("{:<16} {:>8} {:>8} {:>8} {:>8}", "benchmark", "O0", "O1", "O2", "O3");
     for group in rows.chunks(LEVELS.len()) {

@@ -2,11 +2,13 @@
 //! with rollback vs multi-exit-only superblocks, plus the unrolling knob.
 
 use darco::SinkChoice;
-use darco_bench::{default_config, jobs_from_args, run_jobs, with_timing, Scale};
+use darco_bench::measure::{self, Args};
+use darco_bench::{default_config, run_jobs, with_timing, Scale};
 use darco_workloads::benchmarks;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = Args::from_env(Scale(1, 1), measure::SCALE_JOBS);
+    let scale = args.scale;
     let all = benchmarks();
     // Three jobs per benchmark — speculation, no-speculation, no-unroll —
     // on the fleet pool.
@@ -21,7 +23,7 @@ fn main() {
         cfg.tol.unroll = false;
         work.push((b.clone(), cfg));
     }
-    let rows = run_jobs(scale, jobs_from_args(), work);
+    let rows = run_jobs(scale, args.jobs, work);
     println!("== A3: superblock speculation (asserts) vs multi-exit; unrolling ==");
     println!(
         "{:<16} {:>11} {:>11} {:>11} {:>9}",

@@ -1,16 +1,15 @@
 //! Calibration probe: one benchmark per suite, key shape metrics.
 //! (Development tool; the per-figure binaries are the real harnesses.)
 
+use darco_bench::measure::{self, Args};
 use darco_bench::{default_config, run_one, Scale};
 use darco_workloads::benchmarks;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Args::from_env(Scale(1, 1), measure::SCALE).scale;
     for idx in [0usize, 4, 11, 15, 24, 25, 30] {
         let b = &benchmarks()[idx];
-        let t0 = std::time::Instant::now();
-        let r = run_one(b, scale, default_config());
-        let dt = t0.elapsed().as_secs_f64();
+        let (dt, r) = measure::time(|| run_one(b, scale, default_config()));
         let (im, bbm, sbm) = r.mode_insns;
         let total = (im + bbm + sbm) as f64;
         println!(

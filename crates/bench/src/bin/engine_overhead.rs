@@ -11,30 +11,26 @@
 //!   checkpoint restore versus functional re-execution from zero — the
 //!   speedup the sampling methodology's warm-start bank banks on.
 //!
-//! `--gate FILE` re-checks a committed measurement instead of running
-//! (exit 1 when out of budget), so CI never gates on a wall clock taken
-//! inside a noisy container.
+//! Both use the shared protocol ([`darco_bench::measure`]): the four
+//! stepping variants (monolithic and three quanta) are interleaved per
+//! workload, as are re-execution and restore, and each variant keeps its
+//! per-workload minimum.
+//! `bench_gate` checks the artifact.
 
-use darco::json::JsonWriter;
 use darco::{Snapshot, StepExit, SystemConfig, System};
+use darco_bench::measure::{self, Args, SET};
 use darco_bench::Scale;
-use darco_obs::json::{parse, JsonValue};
+use darco_guest::GuestProgram;
 use darco_workloads::benchmarks;
-use std::time::Instant;
 
-/// Same representative subset (one benchmark per suite) as `speed.rs`.
-const SET: [usize; 3] = [0, 13, 24];
-/// Repetitions per configuration; the minimum wall time wins.
-const REPS: usize = 3;
-/// Stepping quanta under test. 100k is `SchedOpts::default().quantum`.
-const QUANTA: [u64; 3] = [1_000, 10_000, 100_000];
-/// Overhead budget at the 100k (fleet default) quantum.
-const BUDGET_100K: f64 = 0.02;
+/// Stepping quanta under test, after the monolithic run (`u64::MAX`).
+/// 100k is `SchedOpts::default().quantum`.
+const QUANTA: [u64; 4] = [u64::MAX, 1_000, 10_000, 100_000];
 
 /// Drives one engine to completion in `quantum`-sized steps, returning
 /// retired guest instructions.
-fn drive(cfg: SystemConfig, program: darco_guest::GuestProgram, quantum: u64) -> u64 {
-    let mut e = System::new(cfg, program).start();
+fn drive(program: GuestProgram, quantum: u64) -> u64 {
+    let mut e = System::new(SystemConfig::default(), program).start();
     loop {
         match e.step(quantum) {
             Ok(StepExit::Ended | StepExit::GuestFault) => return e.insns(),
@@ -44,32 +40,16 @@ fn drive(cfg: SystemConfig, program: darco_guest::GuestProgram, quantum: u64) ->
     }
 }
 
-/// Runs the subset once at the given quantum (`u64::MAX` = monolithic).
-fn run_set(scale: Scale, quantum: u64) -> (u64, f64) {
-    let mut insns = 0u64;
-    let mut wall = 0.0f64;
-    for &idx in &SET {
-        let b = &benchmarks()[idx];
-        let program = darco_workloads::build(&b.profile.clone().scaled(scale.0, scale.1));
-        let t0 = Instant::now();
-        insns += drive(SystemConfig::default(), program, quantum);
-        wall += t0.elapsed().as_secs_f64();
-    }
-    (insns, wall)
-}
-
-/// Best-of-`REPS` wall time for one configuration.
-fn best(runs: &[(u64, f64)]) -> (u64, f64) {
-    (runs[0].0, runs.iter().map(|r| r.1).fold(f64::INFINITY, f64::min))
+fn build(idx: usize, scale: Scale) -> GuestProgram {
+    darco_workloads::build(&benchmarks()[idx].profile.clone().scaled(scale.0, scale.1))
 }
 
 /// Measures restore-vs-re-execution for the warm-start bank: reach the
-/// 60% point of the first subset benchmark both ways.
+/// 60% point of the first subset benchmark both ways. Returns
+/// `(checkpoint_insns, reexec_s, restore_s)`.
 fn warmup_restore(scale: Scale) -> (u64, f64, f64) {
-    let b = &benchmarks()[SET[0]];
-    let build = || darco_workloads::build(&b.profile.clone().scaled(scale.0, scale.1));
-    let total = drive(SystemConfig::default(), build(), u64::MAX);
-    let mut e = System::new(SystemConfig::default(), build()).start();
+    let total = drive(build(SET[0], scale), u64::MAX);
+    let mut e = System::new(SystemConfig::default(), build(SET[0], scale)).start();
     // Cache-mode fuel stops land at translation granularity, so the
     // boundary may overshoot the requested point; the actual checkpoint
     // count is whatever the boundary landed on.
@@ -79,100 +59,51 @@ fn warmup_restore(scale: Scale) -> (u64, f64, f64) {
     let snap = Snapshot::from_bytes(e.checkpoint().expect("checkpoint").into_bytes())
         .expect("round trip");
     let at = snap.guest_insns();
-    let mut reexec = f64::INFINITY;
-    let mut restore = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        let mut f = System::new(SystemConfig::default(), build()).start();
-        while f.insns() < at {
-            f.step(at - f.insns()).expect("re-execution");
-        }
-        reexec = reexec.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        let mut f = System::new(SystemConfig::default(), build()).start();
-        f.restore(&snap).expect("restore");
-        restore = restore.min(t0.elapsed().as_secs_f64());
-        assert_eq!(f.insns(), at);
-    }
-    (at, reexec, restore)
-}
-
-/// `--gate FILE`: re-checks a committed measurement. Exit 1 when the
-/// 100k-quantum overhead exceeds the budget or restore is not faster
-/// than re-execution.
-fn gate(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let overhead = doc
-        .get("quanta")
-        .and_then(|q| q.get("100000"))
-        .and_then(|q| q.get("overhead"))
-        .and_then(JsonValue::as_num)
-        .ok_or("missing quanta.100000.overhead")?;
-    if overhead > BUDGET_100K {
-        return Err(format!(
-            "stepping overhead at the 100k quantum is {:+.2}% (budget {:.0}%)",
-            overhead * 100.0,
-            BUDGET_100K * 100.0
-        ));
-    }
-    let speedup = doc
-        .get("warmup_restore")
-        .and_then(|w| w.get("speedup"))
-        .and_then(JsonValue::as_num)
-        .ok_or("missing warmup_restore.speedup")?;
-    if speedup < 1.0 {
-        return Err(format!("checkpoint restore is slower than re-execution ({speedup:.2}x)"));
-    }
-    println!(
-        "engine gate OK: 100k-quantum overhead {:+.2}% (budget {:.0}%), warm-up restore {:.1}x",
-        overhead * 100.0,
-        BUDGET_100K * 100.0,
-        speedup
-    );
-    Ok(())
+    let best = measure::interleaved_min(2, 1, |v, _| {
+        measure::time(|| {
+            let mut f = System::new(SystemConfig::default(), build(SET[0], scale)).start();
+            if v == 0 {
+                while f.insns() < at {
+                    f.step(at - f.insns()).expect("re-execution");
+                }
+            } else {
+                f.restore(&snap).expect("restore");
+                assert_eq!(f.insns(), at);
+            }
+        })
+    });
+    (at, best[0][0].wall_s, best[1][0].wall_s)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--gate") {
-        let path = args.get(i + 1).map(String::as_str).unwrap_or("BENCH_engine.json");
-        if let Err(e) = gate(path) {
-            eprintln!("engine gate FAILED: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let scale = Scale::from_args();
-    let mut mono_runs = Vec::new();
-    let mut quanta_runs: Vec<Vec<(u64, f64)>> = vec![Vec::new(); QUANTA.len()];
-    for _ in 0..REPS {
-        mono_runs.push(run_set(scale, u64::MAX));
-        for (qi, &q) in QUANTA.iter().enumerate() {
-            quanta_runs[qi].push(run_set(scale, q));
-        }
-    }
-    let (insns, mono_wall) = best(&mono_runs);
-    println!("== Engine stepping overhead ({} workloads, best of {REPS}) ==", SET.len());
+    let args = Args::from_env(Scale(1, 1), measure::SCALE);
+    let best = measure::interleaved_min(QUANTA.len(), SET.len(), |v, w| {
+        let program = build(SET[w], args.scale);
+        measure::time(|| drive(program, QUANTA[v]))
+    });
+    let insns: u64 = best[0].iter().map(|b| b.data).sum();
+    let mono_wall = measure::total(&best[0]);
+    println!(
+        "== Engine stepping overhead ({} workloads, per-workload min of {}) ==",
+        SET.len(),
+        measure::REPS
+    );
     println!("{:<12} {:>14} {:>10} {:>10} {:>10}", "quantum", "guest insns", "wall s", "MIPS", "overhead");
     println!(
         "{:<12} {:>14} {:>10.3} {:>10.2} {:>10}",
         "monolithic", insns, mono_wall, insns as f64 / mono_wall / 1e6, "-"
     );
-    let mut w = JsonWriter::new();
-    w.begin_obj(None);
-    w.field_str("bench", "engine");
-    w.field_str("scale", &format!("{}/{}", scale.0, scale.1));
-    w.field_num("reps", REPS as u64);
+    let mut w = measure::header("engine", args.scale, measure::REPS);
     w.begin_obj(Some("monolithic"))
         .field_num("guest_insns", insns)
         .field_f64("wall_s", mono_wall)
         .field_f64("mips", insns as f64 / mono_wall / 1e6)
         .end_obj();
     w.begin_obj(Some("quanta"));
-    for (qi, &q) in QUANTA.iter().enumerate() {
-        let (qinsns, wall) = best(&quanta_runs[qi]);
+    for (q, row) in QUANTA.iter().zip(&best).skip(1) {
+        // Its own retired count: a stepping defect shows in its MIPS.
+        let qinsns: u64 = row.iter().map(|b| b.data).sum();
+        let wall = measure::total(row);
         let overhead = wall / mono_wall - 1.0;
         println!(
             "{:<12} {:>14} {:>10.3} {:>10.2} {:>+9.2}%",
@@ -190,7 +121,7 @@ fn main() {
     }
     w.end_obj();
 
-    let (at, reexec, restore) = warmup_restore(scale);
+    let (at, reexec, restore) = warmup_restore(args.scale);
     let speedup = reexec / restore;
     println!(
         "warm-up to {at} insns: re-execution {:.4}s, restore {:.4}s ({speedup:.1}x)",
@@ -203,6 +134,5 @@ fn main() {
         .field_f64("speedup", speedup)
         .end_obj();
     w.end_obj();
-    std::fs::write("BENCH_engine.json", w.finish()).expect("write BENCH_engine.json");
-    println!("wrote BENCH_engine.json");
+    args.write("BENCH_engine.json", &w.finish());
 }

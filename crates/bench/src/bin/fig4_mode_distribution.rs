@@ -4,11 +4,13 @@
 //! Paper: 88% / 96% / 75% of the dynamic stream executes in SBM for
 //! SPECINT2006 / SPECFP2006 / Physicsbench.
 
+use darco_bench::measure::{self, Args};
 use darco_bench::{default_config, paper, print_table, run_suite, suite_avg, Scale};
 use darco_workloads::Suite;
 
 fn main() {
-    let rows = run_suite(Scale::from_args(), |_| default_config());
+    let args = Args::from_env(Scale(1, 1), measure::SCALE_JOBS);
+    let rows = run_suite(args.scale, args.jobs, |_| default_config());
     println!("== Fig. 4: dynamic guest instruction distribution ==");
     println!("{:<16} {:<13} {:>7} {:>7} {:>7}", "benchmark", "suite", "IM%", "BBM%", "SBM%");
     for (b, r) in &rows {

@@ -4,10 +4,12 @@
 //! (branches dominate SPECINT's cost; software-emulated trigonometry
 //! raises Physicsbench's).
 
+use darco_bench::measure::{self, Args};
 use darco_bench::{default_config, paper, print_table, run_suite, Scale};
 
 fn main() {
-    let rows = run_suite(Scale::from_args(), |_| default_config());
+    let args = Args::from_env(Scale(1, 1), measure::SCALE_JOBS);
+    let rows = run_suite(args.scale, args.jobs, |_| default_config());
     print_table(
         "Fig. 5: host instructions per guest instruction (SBM)",
         &rows,

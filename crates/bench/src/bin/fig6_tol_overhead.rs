@@ -5,10 +5,12 @@
 //! the low dynamic-to-static instruction ratio keeps Physicsbench from
 //! amortizing translation work.
 
+use darco_bench::measure::{self, Args};
 use darco_bench::{default_config, paper, print_table, run_suite, Scale};
 
 fn main() {
-    let rows = run_suite(Scale::from_args(), |_| default_config());
+    let args = Args::from_env(Scale(1, 1), measure::SCALE_JOBS);
+    let rows = run_suite(args.scale, args.jobs, |_| default_config());
     print_table(
         "Fig. 6: TOL overhead share of host dynamic stream",
         &rows,

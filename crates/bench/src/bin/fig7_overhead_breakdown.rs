@@ -6,11 +6,13 @@
 //! translation (low dynamic-to-static ratio); the SB translator's share
 //! is comparatively small everywhere.
 
+use darco_bench::measure::{self, Args};
 use darco_bench::{default_config, run_suite, Scale};
 use darco_workloads::Suite;
 
 fn main() {
-    let rows = run_suite(Scale::from_args(), |_| default_config());
+    let args = Args::from_env(Scale(1, 1), measure::SCALE_JOBS);
+    let rows = run_suite(args.scale, args.jobs, |_| default_config());
     println!("== Fig. 7: TOL overhead breakdown (% of TOL overhead) ==");
     println!(
         "{:<16} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",

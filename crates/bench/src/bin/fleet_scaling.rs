@@ -7,15 +7,18 @@
 //! the merged artifact is **byte-identical** across all of them —
 //! parallelism must never change results.
 //!
-//! Speedup is bounded by the host's CPU count (recorded as `host_cpus`);
-//! on a single-core host every worker count costs the same wall-clock
-//! and only the determinism claim is meaningful.
+//! Wall times follow the shared protocol ([`darco_bench::measure`]): the
+//! four worker counts interleave within each repetition and each keeps
+//! its minimum; every run's merged artifact must match the first.
+//! Speedup is bounded by the host's CPU count (`host.nproc`); on a
+//! single-core host every worker count costs the same wall-clock and
+//! only the determinism claim is meaningful.
 
 use darco::json::JsonWriter;
+use darco_bench::measure::{self, Args};
 use darco_bench::Scale;
 use darco_fleet::{parse_campaign, run_campaign_cooperative, SchedOpts};
 use std::sync::atomic::AtomicBool;
-use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -23,45 +26,43 @@ fn campaign_json(scale: Scale) -> String {
     format!(
         r#"{{
           "name": "fig-suite",
-          "defaults": {{"scale": "{}/{}"}},
+          "defaults": {{"scale": "{scale}"}},
           "matrix": {{"workloads": ["all-benchmarks"]}}
-        }}"#,
-        scale.0, scale.1
+        }}"#
     )
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let campaign = parse_campaign(&campaign_json(scale)).expect("campaign parses");
+    let args = Args::from_env(Scale(1, 1), measure::SCALE);
+    let host_cpus = measure::host().0;
+    let campaign = parse_campaign(&campaign_json(args.scale)).expect("campaign parses");
     println!(
-        "== Fleet scaling: fig4-fig7 campaign ({} jobs) on {} host CPUs ==",
+        "== Fleet scaling: fig4-fig7 campaign ({} jobs) on {} host CPUs, min of {} ==",
         campaign.jobs.len(),
-        host_cpus
+        host_cpus,
+        measure::REPS
     );
-    println!("{:<8} {:>10} {:>10}", "workers", "wall s", "speedup");
-    let mut rows: Vec<(usize, f64)> = Vec::new();
     let mut reference: Option<String> = None;
     let stop = AtomicBool::new(false);
-    for workers in WORKER_COUNTS {
-        let t0 = Instant::now();
-        let outcome = run_campaign_cooperative(&campaign, workers, &SchedOpts::default(), &stop);
-        let wall = t0.elapsed().as_secs_f64();
+    let best = measure::interleaved_min(WORKER_COUNTS.len(), 1, |v, _| {
+        let workers = WORKER_COUNTS[v];
+        let (wall, outcome) = measure::time(|| {
+            run_campaign_cooperative(&campaign, workers, &SchedOpts::default(), &stop)
+        });
         assert_eq!(outcome.failed_count(), 0, "figure suite must run clean");
         let merged = outcome.merged_json();
         match &reference {
             None => reference = Some(merged),
-            Some(r) => assert_eq!(
-                &merged, r,
-                "merged artifact differs between 1 and {workers} workers"
-            ),
+            Some(r) => assert_eq!(&merged, r, "merged artifact differs at {workers} workers"),
         }
-        let speedup = rows.first().map(|&(_, w1)| w1 / wall).unwrap_or(1.0);
-        println!("{workers:<8} {wall:>10.2} {speedup:>9.2}x");
-        rows.push((workers, wall));
+        (wall, ())
+    });
+    let walls: Vec<f64> = best.iter().map(|row| row[0].wall_s).collect();
+    println!("{:<8} {:>10} {:>10}", "workers", "wall s", "speedup");
+    for (workers, wall) in WORKER_COUNTS.iter().zip(&walls) {
+        println!("{workers:<8} {wall:>10.2} {:>9.2}x", walls[0] / wall);
     }
-    let wall_1 = rows[0].1;
-    let speedup_4 = wall_1 / rows[2].1;
+    let speedup_4 = walls[0] / walls[2];
     if host_cpus >= 4 && speedup_4 < 3.0 {
         println!("WARNING: 4-worker speedup {speedup_4:.2}x below the 3x target");
     }
@@ -70,19 +71,15 @@ fn main() {
         println!(" the byte-identical merge assertion above is the load-bearing check here)");
     }
 
-    let mut w = JsonWriter::new();
-    w.begin_obj(None);
-    w.field_str("bench", "fleet");
-    w.field_str("scale", &format!("{}/{}", scale.0, scale.1));
-    w.field_num("host_cpus", host_cpus);
+    let mut w = measure::header("fleet", args.scale, measure::REPS);
     w.field_num("suite_jobs", campaign.jobs.len());
     w.begin_arr(Some("suite"));
-    for &(workers, wall) in &rows {
+    for (workers, wall) in WORKER_COUNTS.iter().zip(&walls) {
         let mut e = JsonWriter::new();
         e.begin_obj(None)
             .field_num("workers", workers)
-            .field_f64("wall_s", wall)
-            .field_f64("speedup_vs_1", wall_1 / wall)
+            .field_f64("wall_s", *wall)
+            .field_f64("speedup_vs_1", walls[0] / wall)
             .end_obj();
         w.elem_raw(&e.finish());
     }
@@ -90,6 +87,5 @@ fn main() {
     w.field_bool("merged_byte_identical", true);
     w.field_f64("speedup_4_workers", speedup_4);
     w.end_obj();
-    std::fs::write("BENCH_fleet.json", w.finish()).expect("write BENCH_fleet.json");
-    println!("wrote BENCH_fleet.json");
+    args.write("BENCH_fleet.json", &w.finish());
 }

@@ -1,6 +1,6 @@
 //! **JIT speed** — per-execution-mode guest MIPS of the native x86-64
-//! backend against the reference emulator, on the same hot-path set and
-//! scale conventions as `speed.rs` / `BENCH_hotpath.json`.
+//! backend against the reference emulator, on the representative subset
+//! (`measure::SET`).
 //!
 //! Two MIPS figures are reported per mode, and the distinction matters:
 //!
@@ -18,8 +18,12 @@
 //!   throughput: TOL dispatch + translation + translated-code execution.
 //!   It is the honest basis for comparing backends and modes.
 //!
-//! Emits `BENCH_jit.json` with both figures for every mode × backend.
-//! With `--gate`, enforces the backend's performance contract on
+//! Emits `BENCH_jit.json` with both figures for every mode × backend,
+//! measured with the shared protocol ([`darco_bench::measure`]: all six
+//! mode × backend variants interleaved per workload, per-workload
+//! minimum of `REPS`). Its `emu.sb` lane (the default configuration) is
+//! also the baseline `obs_overhead` compares the disabled tracer with.
+//! `bench_gate` enforces the backend's performance contract on
 //! `sw_mips`:
 //!
 //! * mode ordering under the native backend: `interp < bb` and
@@ -35,7 +39,7 @@
 //!   sb-mode `sw_mips` — running translations as real machine code must
 //!   clearly beat emulating them (measured 2.3-2.9x).
 //!
-//! The gate is calibrated for `--scale 1/1`: superblock translation +
+//! The bounds are calibrated for `--scale 1/1`: superblock translation +
 //! native compilation is a fixed cost, and at fractional scales it can
 //! exceed a short run's whole execution time (breakable at 1/4 spends
 //! 7.4ms translating vs 7.2ms executing), which re-inverts sb below bb
@@ -54,41 +58,25 @@
 //! under test; the JSON records them instead of gating on a number the
 //! architecture cannot produce.
 //!
-//! The JSON also records the pre-JIT emulator sb-mode wall baseline
-//! (22.23 MIPS at `--scale 1/4`, from `BENCH_hotpath.json`) so speedups
-//! against the state before this backend existed stay visible.
-//!
 //! On hosts without a JIT (non-x86-64), the harness still runs and
-//! records emulator numbers with `"native": null` — honest output, no
-//! gate failure for missing hardware.
+//! records emulator numbers with `"native": null`; `bench_gate` then
+//! rejects the artifact for its missing native lane.
 
 use darco::json::JsonWriter;
 use darco::SystemConfig;
+use darco_bench::measure::{self, Args, Best, SET};
 use darco_bench::{default_config, run_one, Scale};
 use darco_host::codegen::Backend;
 use darco_workloads::benchmarks;
-use std::time::Instant;
 
-/// Emulator sb-mode guest MIPS at `--scale 1/4` recorded in
-/// `BENCH_hotpath.json` on the commit before the native backend landed.
-const EMU_SB_BASELINE_MIPS: f64 = 22.23;
-/// Gate: native sb-mode sw-MIPS vs the emulator's sb-mode sw-MIPS.
-const GATE_MIN_SPEEDUP_VS_EMU_SB: f64 = 2.0;
-/// Gate tolerance on `sb >= bb` under the native backend (see module
-/// docs: the true margin is inside shared-host noise).
-const GATE_SB_VS_BB_TOLERANCE: f64 = 0.9;
-
-struct Mode {
-    name: &'static str,
-    bbm: u64,
-    sbm: u64,
-}
-
-/// Same three pinned modes as the hot-path harness in `speed.rs`.
-const MODES: [Mode; 3] = [
-    Mode { name: "interp", bbm: u64::MAX, sbm: u64::MAX },
-    Mode { name: "bb", bbm: 50, sbm: u64::MAX },
-    Mode { name: "sb", bbm: 50, sbm: 500 },
+/// The three pinned modes: a name plus the TOL thresholds that pin it.
+const MODES: [(&str, u64, u64); 3] = [
+    // Promotion disabled: every instruction interprets.
+    ("interp", u64::MAX, u64::MAX),
+    // BB promotion at the default threshold, SB promotion disabled.
+    ("bb", 50, u64::MAX),
+    // Full promotion pipeline (defaults).
+    ("sb", 50, 500),
 ];
 
 struct ModeResult {
@@ -101,181 +89,86 @@ struct ModeResult {
     sw_mips: f64,
 }
 
-fn mode_config(m: &Mode, backend: Backend) -> SystemConfig {
+fn mode_config(mode: usize, backend: Backend) -> SystemConfig {
+    let (_, bbm, sbm) = MODES[mode];
     let mut cfg = default_config();
-    cfg.tol.bbm_threshold = m.bbm;
-    cfg.tol.sbm_threshold = m.sbm;
+    cfg.tol.bbm_threshold = bbm;
+    cfg.tol.sbm_threshold = sbm;
     cfg.backend = backend;
     cfg
 }
 
-fn run_backend(backend: Backend, set: &[usize], scale: Scale, repeat: u32) -> Vec<ModeResult> {
-    MODES
-        .iter()
-        .map(|m| {
-            let mut insns = 0u64;
-            let mut wall = 0.0f64;
-            let mut xcomp = 0.0f64;
-            for &idx in set {
-                let b = &benchmarks()[idx];
-                // Guest execution is deterministic; wall time is not
-                // (shared host). Best-of-N per run is the standard
-                // noise-rejection: the minimum is the least-disturbed
-                // observation of the same deterministic work.
-                let mut best_wall = f64::INFINITY;
-                let mut best_xcomp = 0.0f64;
-                let mut best_insns = 0u64;
-                for _ in 0..repeat.max(1) {
-                    let t0 = Instant::now();
-                    let r = run_one(b, scale, mode_config(m, backend));
-                    let w = t0.elapsed().as_secs_f64();
-                    if w < best_wall {
-                        best_wall = w;
-                        best_xcomp =
-                            r.metrics.counter_value("sync.xcomp_nanos").unwrap_or(0) as f64 / 1e9;
-                        best_insns = r.guest_insns;
-                    }
-                }
-                wall += best_wall;
-                xcomp += best_xcomp;
-                insns += best_insns;
-            }
-            let sw = (wall - xcomp).max(1e-9);
-            ModeResult {
-                name: m.name,
-                guest_insns: insns,
-                wall_s: wall,
-                xcomp_s: xcomp,
-                mips: insns as f64 / wall / 1e6,
-                sw_mips: insns as f64 / sw / 1e6,
-            }
-        })
-        .collect()
+/// Folds one variant's per-workload minima `(guest_insns, xcomp_s)`.
+fn fold(name: &'static str, row: &[Best<(u64, f64)>]) -> ModeResult {
+    let insns: u64 = row.iter().map(|b| b.data.0).sum();
+    let wall = measure::total(row);
+    let xcomp: f64 = row.iter().map(|b| b.data.1).sum();
+    let sw = (wall - xcomp).max(1e-9);
+    ModeResult {
+        name,
+        guest_insns: insns,
+        wall_s: wall,
+        xcomp_s: xcomp,
+        mips: insns as f64 / wall / 1e6,
+        sw_mips: insns as f64 / sw / 1e6,
+    }
 }
 
-fn write_modes(w: &mut JsonWriter, key: &str, results: &[ModeResult]) {
+/// Writes one backend's lane to the artifact and prints it.
+fn write_lane(w: &mut JsonWriter, key: &str, results: &[ModeResult]) {
     w.begin_obj(Some(key));
     for r in results {
-        w.begin_obj(Some(r.name));
-        w.field_num("guest_insns", r.guest_insns);
-        w.field_f64("wall_s", r.wall_s);
-        w.field_f64("xcomp_s", r.xcomp_s);
-        w.field_f64("mips", r.mips);
-        w.field_f64("sw_mips", r.sw_mips);
-        w.end_obj();
+        println!("{key:<8} {:<8} {:>10.2} {:>10.2}", r.name, r.mips, r.sw_mips);
+        w.begin_obj(Some(r.name))
+            .field_num("guest_insns", r.guest_insns)
+            .field_f64("wall_s", r.wall_s)
+            .field_f64("xcomp_s", r.xcomp_s)
+            .field_f64("mips", r.mips)
+            .field_f64("sw_mips", r.sw_mips)
+            .end_obj();
     }
     w.end_obj();
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let gate = std::env::args().any(|a| a == "--gate");
-    let args: Vec<String> = std::env::args().collect();
-    let repeat = args
-        .iter()
-        .position(|a| a == "--repeat")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3u32);
-    let set = [0usize, 13, 24];
+    let args = Args::from_env(Scale(1, 1), measure::SCALE);
+    let backends: &[Backend] =
+        if Backend::native_available() { &[Backend::Emu, Backend::Native] } else { &[Backend::Emu] };
+    // Variant `v` is mode `v % 3` under backend `v / 3`.
+    let best = measure::interleaved_min(backends.len() * MODES.len(), SET.len(), |v, w| {
+        let cfg = mode_config(v % MODES.len(), backends[v / MODES.len()]);
+        let (wall, r) = measure::time(|| run_one(&benchmarks()[SET[w]], args.scale, cfg));
+        let xcomp = r.metrics.counter_value("sync.xcomp_nanos").unwrap_or(0) as f64 / 1e9;
+        (wall, (r.guest_insns, xcomp))
+    });
+    let mut lanes = best.chunks(MODES.len()).map(|rows| {
+        rows.iter().zip(MODES).map(|(row, (name, _, _))| fold(name, row)).collect::<Vec<_>>()
+    });
+    let emu = lanes.next().expect("emulator lane");
+    let native = lanes.next();
 
-    let emu = run_backend(Backend::Emu, &set, scale, repeat);
-    let native = if Backend::native_available() {
-        Some(run_backend(Backend::Native, &set, scale, repeat))
-    } else {
-        None
-    };
-
-    println!("== JIT speed (guest MIPS per mode, native vs emu) ==");
-    println!(
-        "{:<10} {:>10} {:>10} {:>12} {:>12} {:>10}",
-        "mode", "emu MIPS", "emu sw", "native MIPS", "native sw", "sw speedup"
-    );
-    for (i, e) in emu.iter().enumerate() {
-        match &native {
-            Some(n) => println!(
-                "{:<10} {:>10.2} {:>10.2} {:>12.2} {:>12.2} {:>9.2}x",
-                e.name,
-                e.mips,
-                e.sw_mips,
-                n[i].mips,
-                n[i].sw_mips,
-                n[i].sw_mips / e.sw_mips
-            ),
-            None => println!(
-                "{:<10} {:>10.2} {:>10.2} {:>12} {:>12} {:>10}",
-                e.name, e.mips, e.sw_mips, "-", "-", "-"
-            ),
-        }
-    }
-    if native.is_none() {
-        println!("(no JIT on this host; emulator numbers only)");
-    }
-
-    let mut w = JsonWriter::new();
-    w.begin_obj(None);
-    w.field_str("bench", "jit");
-    w.field_str("scale", &format!("{}/{}", scale.0, scale.1));
-    write_modes(&mut w, "emu", &emu);
+    println!("== JIT speed (guest MIPS per mode, per-workload min of {}) ==", measure::REPS);
+    println!("{:<8} {:<8} {:>10} {:>10}", "backend", "mode", "MIPS", "sw MIPS");
+    let mut w = measure::header("jit", args.scale, measure::REPS);
+    let names: Vec<&str> = SET.iter().map(|&i| benchmarks()[i].name).collect();
+    measure::workloads_field(&mut w, &names);
+    write_lane(&mut w, "emu", &emu);
     match &native {
         Some(n) => {
-            write_modes(&mut w, "native", n);
+            write_lane(&mut w, "native", n);
             w.begin_obj(Some("native_sw_speedup"));
-            for (i, e) in emu.iter().enumerate() {
-                w.field_f64(e.name, n[i].sw_mips / e.sw_mips);
+            for (e, n) in emu.iter().zip(n) {
+                println!("native/emu sw speedup, {}: {:.2}x", e.name, n.sw_mips / e.sw_mips);
+                w.field_f64(e.name, n.sw_mips / e.sw_mips);
             }
             w.end_obj();
             w.field_f64("native_sb_sw_vs_emu_interp_sw", n[2].sw_mips / emu[0].sw_mips);
         }
         None => {
+            println!("(no JIT on this host; emulator numbers only)");
             w.field_null("native");
         }
     }
-    w.field_f64("emu_sb_wall_baseline_mips", EMU_SB_BASELINE_MIPS);
-    w.field_f64("gate_min_speedup_vs_emu_sb", GATE_MIN_SPEEDUP_VS_EMU_SB);
-    w.field_f64("gate_sb_vs_bb_tolerance", GATE_SB_VS_BB_TOLERANCE);
     w.end_obj();
-    std::fs::write("BENCH_jit.json", w.finish()).expect("write BENCH_jit.json");
-    println!("wrote BENCH_jit.json");
-
-    if gate {
-        let Some(n) = &native else {
-            println!("gate: skipped (no JIT on this host)");
-            return;
-        };
-        let (interp, bb, sb) = (n[0].sw_mips, n[1].sw_mips, n[2].sw_mips);
-        let need = GATE_MIN_SPEEDUP_VS_EMU_SB * emu[2].sw_mips;
-        let mut failed = false;
-        if !(interp < bb && interp < sb) {
-            eprintln!(
-                "gate FAILED: native interp-mode not slowest \
-                 (interp {interp:.2} / bb {bb:.2} / sb {sb:.2} sw-MIPS)"
-            );
-            failed = true;
-        }
-        if sb < GATE_SB_VS_BB_TOLERANCE * bb {
-            eprintln!(
-                "gate FAILED: native sb {sb:.2} sw-MIPS below {GATE_SB_VS_BB_TOLERANCE} \
-                 of bb {bb:.2}"
-            );
-            failed = true;
-        }
-        if sb < need {
-            eprintln!(
-                "gate FAILED: native sb {sb:.2} sw-MIPS < required {need:.2} \
-                 ({GATE_MIN_SPEEDUP_VS_EMU_SB}x the emulator's sb-mode {:.2} sw-MIPS)",
-                emu[2].sw_mips
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "gate passed: native interp {interp:.2} < bb {bb:.2}, sb {sb:.2} >= \
-             {GATE_SB_VS_BB_TOLERANCE}x bb and >= {need:.2} \
-             ({GATE_MIN_SPEEDUP_VS_EMU_SB}x emu sb {:.2}) sw-MIPS",
-            emu[2].sw_mips
-        );
-    }
+    args.write("BENCH_jit.json", &w.finish());
 }

@@ -1,47 +1,40 @@
 //! **BENCH_obs** — pins the cost of the observability layer.
 //!
-//! Four guardrails, enforced in CI by `darco-trace-check --obs-gate`:
+//! Four guardrails, checked by `bench_gate`:
 //!
 //! - `overhead_traced`: wall-clock cost of running with the trace ring
 //!   enabled versus the disabled (`Tracer::Off`) path — budget 5%.
 //! - `overhead_null_vs_baseline`: the disabled-tracer configuration
-//!   versus the guest-MIPS rate recorded in `BENCH_hotpath.json` for the
-//!   same mode and scale — budget 1%, i.e. threading the trace layer
-//!   through the hot paths must stay in the noise when it is off.
-//!   Omitted (null) when no baseline at the current scale is available.
-//! - `overhead_stream`: the fleet suite under a subscribed live-telemetry
-//!   hub (`SchedOpts::live`) versus the same campaign with streaming off
-//!   — budget 2%.
-//! - `overhead_profiler`: the engine subset with the guest-PC sampling
-//!   profiler attached at its default cadence versus the same stepping
-//!   schedule unprofiled — budget 2%.
+//!   versus the emulator sb lane of `BENCH_jit.json` in the current
+//!   directory — the same default configuration (emulator backend,
+//!   thresholds 50/500) on the same workloads — budget 1%, i.e.
+//!   threading the trace layer through the hot paths must stay in the
+//!   noise when it is off. The harness refuses to run when that file is
+//!   missing or was measured at another scale or on other workloads.
+//! - `overhead_stream`: each subset workload as a one-job fleet
+//!   campaign with a `darco-top`-style TCP subscriber on its
+//!   live-telemetry hub (`SchedOpts::live`, the path `darco-fleet run
+//!   --live` takes) versus the same campaign with streaming off —
+//!   budget 2%.
+//! - `overhead_profiler`: the subset with the guest-PC sampling profiler
+//!   attached at its default cadence versus the same stepping schedule
+//!   unprofiled — budget 2%.
 //!
-//! The workload subset and full-promotion configuration match the
-//! hot-path harness (`speed.rs`) so the baseline comparison is
-//! like-for-like.
-//!
-//! Methodology: min-of-N per *workload*, modes interleaved within each
-//! repetition (the `verify_overhead` noise-rejection recipe). Summing
-//! whole-set wall clocks and taking the min of the sums — what this
-//! harness originally did — still lets one preempted workload poison a
-//! repetition, which is how a physically-impossible negative "overhead"
-//! (tracing 7% *faster* than not tracing) ended up in the committed
-//! artifact. Per-workload minima converge on the quiet-machine cost of
-//! each configuration, so the ratio gates an honest number.
+//! Every wall time comes from the shared protocol
+//! ([`darco_bench::measure`]): the four per-workload variants (off,
+//! ring, stepped, profiled) interleave within each repetition, and each
+//! keeps its per-workload minimum.
 
 use darco::json::JsonWriter;
 use darco::{StepExit, System, SystemConfig};
+use darco_bench::measure::{self, Args, Best, SET};
 use darco_bench::{default_config, run_one, Scale};
 use darco_fleet::{parse_campaign, run_campaign_cooperative, Campaign, LiveHub, SchedOpts};
 use darco_obs::json::{parse, JsonValue};
 use darco_workloads::benchmarks;
+use std::net::TcpStream;
 use std::sync::atomic::AtomicBool;
-use std::time::Instant;
 
-/// Same representative subset (one benchmark per suite) as `speed.rs`.
-const SET: [usize; 3] = [0, 13, 24];
-/// Repetitions per configuration; the per-workload minimum wall wins.
-const REPS: usize = 5;
 /// Ring capacity for the traced mode (the `darco-run --trace` default).
 const TRACE_CAP: usize = 1 << 16;
 /// Stepping quantum for the profiler comparison: the profiler samples at
@@ -49,219 +42,179 @@ const TRACE_CAP: usize = 1 << 16;
 /// sampling period. Both sides step at this quantum; the delta is the
 /// sampling itself.
 const PROFILE_QUANTUM: u64 = darco::DEFAULT_SAMPLE_EVERY;
+/// The per-workload variants, in `interleaved_min` order: the trace
+/// ring off and on (monolithic runs), then the profiler off and on
+/// (stepped at `PROFILE_QUANTUM`).
+const VARIANTS: usize = 4;
 
-struct ModeResult {
-    guest_insns: u64,
-    wall_s: f64,
-    mips: f64,
-    trace_events: u64,
+/// One variant's summed per-workload minima:
+/// `(wall_s, guest_insns, trace_events)`.
+fn fold(row: &[Best<(u64, u64)>]) -> (f64, u64, u64) {
+    (measure::total(row), row.iter().map(|b| b.data.0).sum(), row.iter().map(|b| b.data.1).sum())
 }
 
-/// One timed run of one workload: `(guest_insns, wall_s, trace_events)`.
-fn run_workload(idx: usize, scale: Scale, traced: bool) -> (u64, f64, u64) {
-    let b = &benchmarks()[idx];
-    let mut cfg = default_config();
-    if traced {
-        cfg.trace_capacity = Some(TRACE_CAP);
+/// One run of workload `w` under variant `v`: wall seconds, guest
+/// instructions and trace events.
+fn sample(v: usize, w: usize, scale: Scale) -> (f64, (u64, u64)) {
+    let b = &benchmarks()[SET[w]];
+    if v < 2 {
+        let mut cfg = default_config();
+        if v == 1 {
+            cfg.trace_capacity = Some(TRACE_CAP);
+        }
+        let (wall, r) = measure::time(|| run_one(b, scale, cfg));
+        return (wall, (r.guest_insns, r.trace.len() as u64));
     }
-    let t0 = Instant::now();
-    let r = run_one(b, scale, cfg);
-    (r.guest_insns, t0.elapsed().as_secs_f64(), r.trace.len() as u64)
+    let program = darco_workloads::build(&b.profile.clone().scaled(scale.0, scale.1));
+    let profiled = v == 3;
+    measure::time(|| {
+        let mut e = System::new(SystemConfig::default(), program).start();
+        if profiled {
+            e.enable_profiler(darco::DEFAULT_SAMPLE_EVERY);
+        }
+        loop {
+            match e.step(PROFILE_QUANTUM) {
+                Ok(StepExit::Ended | StepExit::GuestFault) => break,
+                Ok(_) => {}
+                Err(err) => panic!("profiled run failed: {err}"),
+            }
+        }
+        if profiled {
+            let p = e.profiler().expect("profiler attached");
+            assert!(p.samples() > 0, "profiler must actually sample");
+        }
+        (e.insns(), 0)
+    })
 }
 
-/// Folds per-workload minima into one mode row.
-fn fold(mins: &[(u64, f64, u64)]) -> ModeResult {
-    let insns: u64 = mins.iter().map(|m| m.0).sum();
-    let wall: f64 = mins.iter().map(|m| m.1).sum();
-    let events: u64 = mins.iter().map(|m| m.2).sum();
-    ModeResult { guest_insns: insns, wall_s: wall, mips: insns as f64 / wall / 1e6, trace_events: events }
-}
-
-/// Keeps the smaller-wall sample per workload slot.
-fn keep_min(slot: &mut Option<(u64, f64, u64)>, sample: (u64, f64, u64)) {
-    if slot.is_none_or(|s| sample.1 < s.1) {
-        *slot = Some(sample);
+/// Reads `emu.sb.mips` from `BENCH_jit.json`, which must have been
+/// measured at `scale` on `names`.
+fn jit_baseline(scale: Scale, names: &[&str]) -> Result<f64, String> {
+    let path = "BENCH_jit.json";
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let doc = parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let at = doc.get("scale").and_then(JsonValue::as_str);
+    if at != Some(scale.to_string().as_str()) {
+        return Err(format!("{path} is at scale {at:?}, this run at {scale}"));
     }
-}
-
-/// Reads `modes.sb.mips` out of `BENCH_hotpath.json` when it was recorded
-/// at the same scale (the full-promotion mode is what `default_config`
-/// runs here).
-fn hotpath_baseline(scale: Scale) -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_hotpath.json").ok()?;
-    let doc = parse(&text).ok()?;
-    let want = format!("{}/{}", scale.0, scale.1);
-    if doc.get("scale").and_then(JsonValue::as_str) != Some(want.as_str()) {
-        return None;
+    let set: Option<Vec<&str>> = doc
+        .get("workloads")
+        .and_then(JsonValue::as_arr)
+        .map(|a| a.iter().filter_map(JsonValue::as_str).collect());
+    if set.as_deref() != Some(names) {
+        return Err(format!("{path} measured workloads {set:?}, this run {names:?}"));
     }
-    doc.get("modes").and_then(|m| m.get("sb")).and_then(|s| s.get("mips")).and_then(JsonValue::as_num)
+    doc.get("emu")
+        .and_then(|m| m.get("sb"))
+        .and_then(|s| s.get("mips"))
+        .and_then(JsonValue::as_num)
+        .ok_or(format!("{path}: missing emu.sb.mips"))
 }
 
-/// The subset as a fleet campaign at the measurement scale.
-fn fleet_campaign(scale: Scale) -> Campaign {
-    let jobs: Vec<String> =
-        SET.iter().map(|&i| format!("{{\"workload\": \"{}\"}}", benchmarks()[i].name)).collect();
+/// Subset workload `idx` as a one-job fleet campaign at `scale`.
+fn fleet_campaign(idx: usize, scale: Scale) -> Campaign {
+    let name = benchmarks()[idx].name;
     let text = format!(
-        "{{\"name\": \"obs-overhead\", \"defaults\": {{\"scale\": \"{}/{}\"}}, \"jobs\": [{}]}}",
-        scale.0,
-        scale.1,
-        jobs.join(", ")
+        "{{\"name\": \"obs-overhead\", \"defaults\": {{\"scale\": \"{scale}\"}}, \
+         \"jobs\": [{{\"workload\": \"{name}\"}}]}}"
     );
     parse_campaign(&text).expect("subset campaign")
 }
 
-/// One fleet-suite run, optionally under a subscribed live hub. The
-/// subscriber is a plain channel drained after the run — the worker-side
-/// cost (rate limiting, mirror sync, delta encode, event serialization)
-/// is what can perturb the suite, and that is what gets timed.
-fn run_fleet(campaign: &Campaign, live: bool) -> f64 {
+/// One fleet campaign run, timed; with `live`, a TCP subscriber is attached
+/// to the hub (and drained by a reader thread) before the clock starts.
+fn run_fleet(campaign: &Campaign, live: bool) -> (f64, ()) {
     let stop = AtomicBool::new(false);
-    let (hub, _rx) = if live {
-        let hub = LiveHub::detached();
-        let (tx, rx) = std::sync::mpsc::channel();
-        hub.subscribe_channel(tx);
-        (Some(hub), Some(rx))
-    } else {
-        (None, None)
-    };
-    let opts = SchedOpts { live: hub, ..SchedOpts::default() };
-    let t0 = Instant::now();
-    let outcome = run_campaign_cooperative(campaign, 1, &opts, &stop);
-    let wall = t0.elapsed().as_secs_f64();
-    assert_eq!(outcome.failed_count(), 0, "fleet subset must run clean");
-    wall
-}
-
-/// Drives one engine to completion at `PROFILE_QUANTUM`, with or without
-/// the sampling profiler, returning `(guest_insns, wall_s)`.
-fn run_profiled(idx: usize, scale: Scale, profiled: bool) -> (u64, f64) {
-    let b = &benchmarks()[idx];
-    let program = darco_workloads::build(&b.profile.clone().scaled(scale.0, scale.1));
-    let t0 = Instant::now();
-    let mut e = System::new(SystemConfig::default(), program).start();
-    if profiled {
-        e.enable_profiler(darco::DEFAULT_SAMPLE_EVERY);
-    }
-    loop {
-        match e.step(PROFILE_QUANTUM) {
-            Ok(StepExit::Ended | StepExit::GuestFault) => break,
-            Ok(_) => {}
-            Err(err) => panic!("profiled run failed: {err}"),
+    let mut reader = None;
+    let hub = live.then(|| {
+        let (hub, addr) = LiveHub::bind("127.0.0.1:0").expect("bind the live hub");
+        let mut conn = TcpStream::connect(addr).expect("subscribe to the live hub");
+        reader = Some(std::thread::spawn(move || std::io::copy(&mut conn, &mut std::io::sink())));
+        while hub.subscribers() != 1 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        hub
+    });
+    let opts = SchedOpts { live: hub.clone(), ..SchedOpts::default() };
+    let (wall, outcome) = measure::time(|| run_campaign_cooperative(campaign, 1, &opts, &stop));
+    assert_eq!(outcome.failed_count(), 0, "fleet subset must run clean");
+    if let (Some(hub), Some(reader)) = (hub, reader) {
+        // Dropping the subscriber ends its writer thread, which closes
+        // the socket and lets the reader see end of stream.
+        hub.close();
+        let _ = reader.join();
     }
-    if profiled {
-        let p = e.profiler().expect("profiler attached");
-        assert!(p.samples() > 0, "profiler must actually sample");
-    }
-    (e.insns(), t0.elapsed().as_secs_f64())
+    (wall, ())
 }
 
-fn mode_json(w: &mut JsonWriter, name: &str, m: &ModeResult, events: bool) {
+fn mode_json(w: &mut JsonWriter, name: &str, (wall, insns, events): (f64, u64, u64)) {
     let obj = w
         .begin_obj(Some(name))
-        .field_num("guest_insns", m.guest_insns)
-        .field_f64("wall_s", m.wall_s)
-        .field_f64("mips", m.mips);
-    if events {
-        obj.field_num("trace_events", m.trace_events);
+        .field_num("guest_insns", insns)
+        .field_f64("wall_s", wall)
+        .field_f64("mips", insns as f64 / wall / 1e6);
+    if events > 0 {
+        obj.field_num("trace_events", events);
     }
     obj.end_obj();
 }
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = Args::from_env(Scale(1, 1), measure::SCALE);
+    let scale = args.scale;
+    let names: Vec<&str> = SET.iter().map(|&i| benchmarks()[i].name).collect();
+    let baseline = jit_baseline(scale, &names).unwrap_or_else(|e| {
+        eprintln!("obs_overhead: no like-for-like disabled-tracer baseline: {e}");
+        eprintln!("(run jit_speed at the same scale in this directory first)");
+        std::process::exit(1);
+    });
 
-    // Trace-ring comparison: per-workload minima, modes interleaved.
-    let mut off_min: Vec<Option<(u64, f64, u64)>> = vec![None; SET.len()];
-    let mut ring_min: Vec<Option<(u64, f64, u64)>> = vec![None; SET.len()];
-    for _ in 0..REPS {
-        for (i, &idx) in SET.iter().enumerate() {
-            keep_min(&mut off_min[i], run_workload(idx, scale, false));
-            keep_min(&mut ring_min[i], run_workload(idx, scale, true));
-        }
-    }
-    let off = fold(&off_min.iter().map(|s| s.unwrap()).collect::<Vec<_>>());
-    let ring = fold(&ring_min.iter().map(|s| s.unwrap()).collect::<Vec<_>>());
-    let overhead_traced = ring.wall_s / off.wall_s - 1.0;
-    let baseline = hotpath_baseline(scale);
-    let overhead_null = baseline.map(|b| b / off.mips - 1.0);
+    let best = measure::interleaved_min(VARIANTS, SET.len(), |v, w| sample(v, w, scale));
+    let [off, ring, plain, prof] = [0, 1, 2, 3].map(|v| fold(&best[v]));
+    let overhead_traced = ring.0 / off.0 - 1.0;
+    let overhead_null = baseline / (off.1 as f64 / off.0 / 1e6) - 1.0;
+    let overhead_profiler = prof.0 / plain.0 - 1.0;
 
-    // Fleet suite under live streaming, interleaved min-of-N.
-    let campaign = fleet_campaign(scale);
-    let (mut fleet_base, mut fleet_live) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..REPS {
-        fleet_base = fleet_base.min(run_fleet(&campaign, false));
-        fleet_live = fleet_live.min(run_fleet(&campaign, true));
-    }
+    let campaigns: Vec<Campaign> = SET.iter().map(|&i| fleet_campaign(i, scale)).collect();
+    let fleet = measure::interleaved_min(2, SET.len(), |v, w| run_fleet(&campaigns[w], v == 1));
+    let (fleet_base, fleet_live) = (measure::total(&fleet[0]), measure::total(&fleet[1]));
     let overhead_stream = fleet_live / fleet_base - 1.0;
 
-    // Sampling profiler at its default cadence, per-workload minima.
-    let mut plain_min: Vec<Option<(u64, f64, u64)>> = vec![None; SET.len()];
-    let mut prof_min: Vec<Option<(u64, f64, u64)>> = vec![None; SET.len()];
-    for _ in 0..REPS {
-        for (i, &idx) in SET.iter().enumerate() {
-            let (insns, wall) = run_profiled(idx, scale, false);
-            keep_min(&mut plain_min[i], (insns, wall, 0));
-            let (insns, wall) = run_profiled(idx, scale, true);
-            keep_min(&mut prof_min[i], (insns, wall, 0));
-        }
+    println!("== Observability overhead (per-workload min of {}) ==", measure::REPS);
+    println!("disabled-tracer baseline: BENCH_jit emu sb {baseline:.2} MIPS");
+    for (name, x) in [
+        ("trace ring", overhead_traced),
+        ("disabled tracer vs baseline", overhead_null),
+        ("fleet stream", overhead_stream),
+        ("profiler", overhead_profiler),
+    ] {
+        println!("{name}: {:+.2}%", x * 100.0);
     }
-    let plain = fold(&plain_min.iter().map(|s| s.unwrap()).collect::<Vec<_>>());
-    let prof = fold(&prof_min.iter().map(|s| s.unwrap()).collect::<Vec<_>>());
-    let overhead_profiler = prof.wall_s / plain.wall_s - 1.0;
 
-    println!("== Observability overhead ({} workloads, per-workload min of {REPS}) ==", SET.len());
-    println!("{:<10} {:>14} {:>10} {:>10} {:>14}", "mode", "guest insns", "wall s", "MIPS", "trace events");
-    println!("{:<10} {:>14} {:>10.3} {:>10.2} {:>14}", "off", off.guest_insns, off.wall_s, off.mips, "-");
-    println!("{:<10} {:>14} {:>10.3} {:>10.2} {:>14}", "ring", ring.guest_insns, ring.wall_s, ring.mips, ring.trace_events);
-    println!("tracing-enabled overhead: {:+.2}% (budget 5%)", overhead_traced * 100.0);
-    match (baseline, overhead_null) {
-        (Some(b), Some(n)) => {
-            println!("disabled-tracer vs hot-path baseline {b:.2} MIPS: {:+.2}% (budget 1%)", n * 100.0);
-        }
-        _ => println!("disabled-tracer vs hot-path baseline: no baseline at this scale"),
-    }
-    println!(
-        "fleet suite: base {fleet_base:.3}s, live-streamed {fleet_live:.3}s: {:+.2}% (budget 2%)",
-        overhead_stream * 100.0
-    );
-    println!(
-        "profiler (sample every {PROFILE_QUANTUM}): off {:.3}s, on {:.3}s: {:+.2}% (budget 2%)",
-        plain.wall_s,
-        prof.wall_s,
-        overhead_profiler * 100.0
-    );
-
-    let mut w = JsonWriter::new();
-    w.begin_obj(None);
-    w.field_str("bench", "obs");
-    w.field_str("scale", &format!("{}/{}", scale.0, scale.1));
-    w.field_num("reps", REPS as u64);
+    let mut w = measure::header("obs", scale, measure::REPS);
+    measure::workloads_field(&mut w, &names);
     w.begin_obj(Some("modes"));
-    mode_json(&mut w, "off", &off, false);
-    mode_json(&mut w, "ring", &ring, true);
+    mode_json(&mut w, "off", off);
+    mode_json(&mut w, "ring", ring);
     w.end_obj();
     w.field_f64("overhead_traced", overhead_traced);
-    match baseline {
-        Some(b) => w.field_f64("baseline_sb_mips", b),
-        None => w.field_null("baseline_sb_mips"),
-    };
-    match overhead_null {
-        Some(n) => w.field_f64("overhead_null_vs_baseline", n),
-        None => w.field_null("overhead_null_vs_baseline"),
-    };
+    w.begin_obj(Some("baseline"))
+        .field_str("source", "BENCH_jit.json emu.sb.mips")
+        .field_str("scale", &scale.to_string())
+        .field_f64("mips", baseline)
+        .end_obj();
+    w.field_f64("overhead_null_vs_baseline", overhead_null);
     w.begin_obj(Some("fleet"))
         .field_f64("base_wall_s", fleet_base)
         .field_f64("live_wall_s", fleet_live)
         .end_obj();
     w.field_f64("overhead_stream", overhead_stream);
     w.begin_obj(Some("profiler"));
-    mode_json(&mut w, "off", &plain, false);
-    mode_json(&mut w, "on", &prof, false);
+    mode_json(&mut w, "off", plain);
+    mode_json(&mut w, "on", prof);
     w.field_num("sample_every", PROFILE_QUANTUM);
     w.end_obj();
     w.field_f64("overhead_profiler", overhead_profiler);
     w.end_obj();
-    std::fs::write("BENCH_obs.json", w.finish()).expect("write BENCH_obs.json");
-    println!("wrote BENCH_obs.json");
+    args.write("BENCH_obs.json", &w.finish());
 }

@@ -1,144 +1,52 @@
 //! **E1 / §VI-A** — DARCO speed: guest/host instruction rates with and
-//! without the timing simulator, plus the hot-path benchmark used to
-//! track emulator-loop optimizations.
+//! without the timing simulator.
 //!
 //! Paper (on their cluster): 3.4 guest MIPS emulated, 0.37 guest MIPS with
 //! timing; 20 host MIPS emulated, 2 host MIPS with timing. Absolute rates
 //! depend on the machine; the experiment checks the relative slowdown of
-//! attaching the timing model.
-//!
-//! The hot-path section pins the system into each execution mode
-//! (interpreter-only, BB-translated, SB-optimized) and reports guest MIPS
-//! per mode, emitting machine-readable `BENCH_hotpath.json` so speedups
-//! from hot-path work (monomorphized sinks, L0 TLB, predecode cache) are
-//! tracked against the recorded pre-optimization baseline.
+//! attaching the timing model. Wall times are the per-workload minimum
+//! of the shared protocol ([`darco_bench::measure`]); the per-mode
+//! (interp/bb/sb) rates live in `jit_speed`'s `BENCH_jit.json`.
 
-use darco::json::JsonWriter;
-use darco::{SinkChoice, SystemConfig};
+use darco::SinkChoice;
+use darco_bench::measure::{self, Args, SET};
 use darco_bench::{default_config, paper, run_one, with_timing, Scale};
 use darco_workloads::benchmarks;
-use std::time::Instant;
-
-/// Pre-optimization guest-MIPS baseline `(interp, bb, sb)`, measured with
-/// this same harness at `--scale 1/4` on the commit before the hot-path
-/// overhaul (dyn-dispatch sinks, per-byte page-map walks, per-iteration
-/// decode). `None` entries mean "no baseline recorded yet".
-const BASELINE_MIPS: Option<(f64, f64, f64)> = Some((1.67, 2.84, 2.94));
-
-/// One hot-path mode: a name plus the TOL thresholds that pin it.
-struct Mode {
-    name: &'static str,
-    bbm: u64,
-    sbm: u64,
-}
-
-const MODES: [Mode; 3] = [
-    // Promotion disabled: every instruction interprets.
-    Mode { name: "interp", bbm: u64::MAX, sbm: u64::MAX },
-    // BB promotion at the default threshold, SB promotion disabled.
-    Mode { name: "bb", bbm: 50, sbm: u64::MAX },
-    // Full promotion pipeline (defaults).
-    Mode { name: "sb", bbm: 50, sbm: 500 },
-];
-
-struct ModeResult {
-    name: &'static str,
-    guest_insns: u64,
-    wall_s: f64,
-    mips: f64,
-}
-
-fn hotpath_config(m: &Mode) -> SystemConfig {
-    let mut cfg = default_config();
-    cfg.tol.bbm_threshold = m.bbm;
-    cfg.tol.sbm_threshold = m.sbm;
-    cfg
-}
-
-/// Runs the hot-path set in one mode, aggregating instructions and time.
-fn run_mode(m: &Mode, set: &[usize], scale: Scale) -> ModeResult {
-    let mut insns = 0u64;
-    let mut wall = 0.0f64;
-    for &idx in set {
-        let b = &benchmarks()[idx];
-        let t0 = Instant::now();
-        let r = run_one(b, scale, hotpath_config(m));
-        wall += t0.elapsed().as_secs_f64();
-        insns += r.guest_insns;
-    }
-    ModeResult { name: m.name, guest_insns: insns, wall_s: wall, mips: insns as f64 / wall / 1e6 }
-}
-
-fn write_hotpath_json(scale: Scale, results: &[ModeResult]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj(None);
-    w.field_str("bench", "hotpath");
-    w.field_str("scale", &format!("{}/{}", scale.0, scale.1));
-    w.begin_obj(Some("modes"));
-    for r in results {
-        w.begin_obj(Some(r.name));
-        w.field_num("guest_insns", r.guest_insns);
-        w.field_f64("wall_s", r.wall_s);
-        w.field_f64("mips", r.mips);
-        w.end_obj();
-    }
-    w.end_obj();
-    match BASELINE_MIPS {
-        Some((bi, bb, bs)) => {
-            w.begin_obj(Some("baseline_mips"));
-            w.field_f64("interp", bi);
-            w.field_f64("bb", bb);
-            w.field_f64("sb", bs);
-            w.end_obj();
-            w.begin_obj(Some("speedup"));
-            for (r, base) in results.iter().zip([bi, bb, bs]) {
-                w.field_f64(r.name, r.mips / base);
-            }
-            w.end_obj();
-        }
-        None => {
-            w.field_null("baseline_mips");
-        }
-    }
-    w.end_obj();
-    w.finish()
-}
 
 fn main() {
-    let scale = Scale::from_args();
-    // A representative subset (one per suite) keeps the run short.
-    let set = [0usize, 13, 24];
-    let mut rows = Vec::new();
-    for idx in set {
-        let b = &benchmarks()[idx];
-        let t0 = Instant::now();
-        let r = run_one(b, scale, default_config());
-        let dt_fun = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let rt = run_one(b, scale, with_timing(default_config(), SinkChoice::InOrder));
-        let dt_tim = t0.elapsed().as_secs_f64();
-        let host_fun = (r.host_app_insns + r.overhead.total()) as f64;
-        let host_tim = (rt.host_app_insns + rt.overhead.total()) as f64;
-        rows.push((
-            b.name,
-            r.guest_insns as f64 / dt_fun / 1e6,
-            rt.guest_insns as f64 / dt_tim / 1e6,
-            host_fun / dt_fun / 1e6,
-            host_tim / dt_tim / 1e6,
-        ));
-    }
-    println!("== §VI-A: DARCO speed ==");
+    let args = Args::from_env(Scale(1, 1), measure::SCALE);
+    let best = measure::interleaved_min(2, SET.len(), |v, w| {
+        let cfg = match v {
+            0 => default_config(),
+            _ => with_timing(default_config(), SinkChoice::InOrder),
+        };
+        let (wall, r) = measure::time(|| run_one(&benchmarks()[SET[w]], args.scale, cfg));
+        (wall, (r.guest_insns, r.host_app_insns + r.overhead.total()))
+    });
+    let mips = |v: usize, w: usize, host: bool| {
+        let b = &best[v][w];
+        let insns = if host { b.data.1 } else { b.data.0 };
+        insns as f64 / b.wall_s / 1e6
+    };
+    println!(
+        "== §VI-A: DARCO speed (scale {}, per-workload min of {}) ==",
+        args.scale,
+        measure::REPS
+    );
     println!(
         "{:<16} {:>12} {:>12} {:>12} {:>12}",
         "benchmark", "guest MIPS", "guest+tim", "host MIPS", "host+tim"
     );
-    for (n, a, b, c, d) in &rows {
-        println!("{n:<16} {a:>12.2} {b:>12.2} {c:>12.2} {d:>12.2}");
+    let mut sums = [0.0f64; 4];
+    for (w, &idx) in SET.iter().enumerate() {
+        let row = [mips(0, w, false), mips(1, w, false), mips(0, w, true), mips(1, w, true)];
+        for (s, r) in sums.iter_mut().zip(row) {
+            *s += r / SET.len() as f64;
+        }
+        let [a, b, c, d] = row;
+        println!("{:<16} {a:>12.2} {b:>12.2} {c:>12.2} {d:>12.2}", benchmarks()[idx].name);
     }
-    let avg = |f: fn(&(&str, f64, f64, f64, f64)) -> f64| {
-        rows.iter().map(f).sum::<f64>() / rows.len() as f64
-    };
-    let (ga, gt, ha, ht) = (avg(|r| r.1), avg(|r| r.2), avg(|r| r.3), avg(|r| r.4));
+    let [ga, gt, ha, ht] = sums;
     println!("{:-<68}", "");
     println!(
         "average          {ga:>12.2} {gt:>12.2} {ha:>12.2} {ht:>12.2}   (paper: {:.2} / {:.2} / {:.0} / {:.0})",
@@ -151,22 +59,4 @@ fn main() {
         ha / ht,
         paper::SPEED.2 / paper::SPEED.3
     );
-
-    println!();
-    println!("== Hot-path modes (guest MIPS per execution mode) ==");
-    println!("{:<10} {:>14} {:>10} {:>10} {:>10}", "mode", "guest insns", "wall s", "MIPS", "vs base");
-    let results: Vec<ModeResult> = MODES.iter().map(|m| run_mode(m, &set, scale)).collect();
-    for (i, r) in results.iter().enumerate() {
-        let vs = match BASELINE_MIPS {
-            Some(b) => format!("{:.2}x", r.mips / [b.0, b.1, b.2][i]),
-            None => "-".into(),
-        };
-        println!(
-            "{:<10} {:>14} {:>10.3} {:>10.2} {:>10}",
-            r.name, r.guest_insns, r.wall_s, r.mips, vs
-        );
-    }
-    let json = write_hotpath_json(scale, &results);
-    std::fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
-    println!("wrote BENCH_hotpath.json");
 }

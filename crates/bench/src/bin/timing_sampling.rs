@@ -15,6 +15,8 @@
 //! interval, error versus the oracle and wall-clock speedup (honest
 //! measured numbers), plus an optional wall-clock-free determinism
 //! artifact (`--det PATH`) that must be byte-identical at any `--jobs`.
+//! One repetition of the 1/1 campaign takes about a minute of CPU, so
+//! the wall figures are single-shot: the shared header says `"reps": 1`.
 //!
 //! Usage: `timing_sampling [--scale N/D] [--jobs N] [--out PATH] [--det PATH]`
 //! (`--scale` applies to the synthetic benchmarks; kernel sizes are
@@ -23,7 +25,8 @@
 use darco::json::JsonWriter;
 use darco::sampling::{sampled_cpi_with_len, SmartsConfig};
 use darco::{SinkChoice, System, SystemConfig, TimingMode};
-use darco_bench::{jobs_from_args, Scale};
+use darco_bench::measure::{self, Args};
+use darco_bench::Scale;
 use darco_guest::GuestProgram;
 use darco_timing::TimingConfig;
 use darco_tol::TolConfig;
@@ -91,11 +94,12 @@ fn run_workload(name: &str, suite: &str, program: &GuestProgram) -> Row {
     let mut cfg = SystemConfig { tol: tol.clone(), timing: timing.clone(), ..Default::default() };
     cfg.sink = SinkChoice::InOrder;
     cfg.timing_mode = TimingMode::Full;
-    let t0 = std::time::Instant::now();
-    let report = System::new(cfg, program.clone())
-        .run()
-        .unwrap_or_else(|e| panic!("{name}: full run failed: {e}"));
-    let full_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (full_wall_s, report) = measure::time(|| {
+        System::new(cfg, program.clone())
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: full run failed: {e}"))
+    });
+    let full_wall_ms = full_wall_s * 1e3;
     let cycles = report.timing.as_ref().expect("timing enabled").cycles;
     let full_cpi = cycles as f64 / report.guest_insns as f64;
 
@@ -103,30 +107,32 @@ fn run_workload(name: &str, suite: &str, program: &GuestProgram) -> Row {
     // oracle run (in a standalone campaign a functional scout pass
     // provides it — `sampled_cpi` does that), so the sampled cost here
     // is one functional fast-forward pass plus the detailed windows.
-    let t1 = std::time::Instant::now();
     let total = report.guest_insns;
     // SMARTS-style adaptive sampling: start with 7 windows and double
     // until the 95% confidence interval is within 4% of the estimate.
     // Escalation is capped where the next stage would push detailed
     // simulation past ~1/6 of the workload — past that point sampling
     // stops being an acceleration and the CI is reported as-is.
-    let mut s = None;
-    let mut detailed = 0u64;
-    for n in [7u64, 14, 28] {
-        let scfg = plan_for(total, n);
-        let window = scfg.warm_len + scfg.measure_len;
-        let Some(r) = sampled_cpi_with_len(program, &tol, &timing, &scfg, total) else { break };
-        detailed += r.detailed_insns;
-        let converged = r.ci95 <= 0.04 * r.cpi;
-        s = Some(r);
-        if converged || 6 * 2 * n * window > total {
-            break;
+    let (sampled_wall_s, (s, detailed)) = measure::time(|| {
+        let mut s = None;
+        let mut detailed = 0u64;
+        for n in [7u64, 14, 28] {
+            let scfg = plan_for(total, n);
+            let window = scfg.warm_len + scfg.measure_len;
+            let Some(r) = sampled_cpi_with_len(program, &tol, &timing, &scfg, total) else { break };
+            detailed += r.detailed_insns;
+            let converged = r.ci95 <= 0.04 * r.cpi;
+            s = Some(r);
+            if converged || 6 * 2 * n * window > total {
+                break;
+            }
         }
-    }
+        (s, detailed)
+    });
     let mut s =
         s.unwrap_or_else(|| panic!("{name}: too short for the sampling plan ({total} insns)"));
     s.detailed_insns = detailed;
-    let sampled_wall_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let sampled_wall_ms = sampled_wall_s * 1e3;
 
     let err_pct = ((s.cpi - full_cpi) / full_cpi).abs() * 100.0;
     Row {
@@ -152,10 +158,7 @@ fn run_workload(name: &str, suite: &str, program: &GuestProgram) -> Row {
 /// the one legitimately nondeterministic measurement), so two runs at
 /// any `--jobs` must produce byte-identical bytes.
 fn render(rows: &[Row], scale: Scale, with_wall: bool) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj(None);
-    w.field_str("campaign", "sampled-vs-full timing");
-    w.field_str("scale", &format!("{}/{}", scale.0, scale.1));
+    let mut w = measure::header("timing", scale, 1);
     w.field_str("timing_mode", "fast");
     w.begin_arr(Some("workloads"));
     for r in rows {
@@ -218,27 +221,15 @@ fn render(rows: &[Row], scale: Scale, with_wall: bool) -> String {
     w.finish()
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let scale = Scale::from_args();
-    let jobs = jobs_from_args();
-    let out = arg_value("--out").unwrap_or_else(|| "BENCH_timing.json".to_string());
-    let det = arg_value("--det");
-
-    let work = workload_set(scale);
-    let rows: Vec<Row> = if jobs <= 1 {
-        work.iter().map(|(n, s, p)| run_workload(n, s, p)).collect()
-    } else {
-        let pool = darco_fleet::Pool::new(jobs);
-        pool.map(work, move |_, (n, s, p)| run_workload(n, s, p))
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-            .collect()
-    };
+    let args =
+        Args::from_env(Scale(1, 1), &["--scale N/D", "--jobs N", "--out PATH", "--det PATH"]);
+    let scale = args.scale;
+    let rows: Vec<Row> = darco_fleet::Pool::new(args.jobs)
+        .map(workload_set(scale), |_, (n, s, p)| run_workload(n, s, p))
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+        .collect();
 
     println!("== sampled vs full timing ({} workloads) ==", rows.len());
     println!(
@@ -261,10 +252,9 @@ fn main() {
         rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min),
     );
 
-    std::fs::write(&out, render(&rows, scale, true)).expect("write campaign artifact");
-    println!("wrote {out}");
-    if let Some(det) = det {
-        std::fs::write(&det, render(&rows, scale, false)).expect("write determinism artifact");
+    args.write("BENCH_timing.json", &render(&rows, scale, true));
+    if let Some(det) = &args.det {
+        std::fs::write(det, render(&rows, scale, false)).expect("write determinism artifact");
         println!("wrote {det}");
     }
 }

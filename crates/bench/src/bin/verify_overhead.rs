@@ -13,17 +13,20 @@
 //!
 //! Runs the whole suite at default promotion thresholds and reports, per
 //! workload and level, the wall-clock time spent translating versus
-//! inside the verifier. Emits machine-readable `BENCH_verify.json` and
-//! exits 1 if either level busts its budget.
+//! inside the verifier. Emits machine-readable `BENCH_verify.json`;
+//! `bench_gate` checks both budgets.
 //!
-//! Overhead ratios are wall-clock against wall-clock, so ambient load
-//! inflates them (both numerator and denominator are small slices of a
-//! preempted run). `--repeat N` (default 3) runs each level's sweep N
-//! times and keeps the sweep with the lowest gated share — min-of-N is
-//! the standard noise-rejection for "how cheap can this be" questions,
-//! where the quietest run is the closest to the true cost.
+//! Overhead ratios are in-run counters, wall-clock against wall-clock,
+//! so ambient load inflates them (both numerator and denominator are
+//! small slices of a preempted run). Each level's sweep runs
+//! `measure::REPS` times and the sweep with the lowest gated share is
+//! kept — min-of-N is the standard noise-rejection for "how cheap can
+//! this be" questions, where the quietest run is the closest to the true
+//! cost. The minimum is of a ratio, not of a wall time, which is why
+//! this harness does not use `measure::interleaved_min`.
 
 use darco::json::JsonWriter;
+use darco_bench::measure::{self, Args};
 use darco_bench::{default_config, run_one, Scale};
 use darco_tol::VerifyLevel;
 use darco_workloads::benchmarks;
@@ -39,16 +42,9 @@ struct Row {
 
 struct LevelReport {
     label: &'static str,
-    /// Budget for this level's *gated share*: total verify time at the
-    /// structural level, the semantic layer's own time at the semantic
-    /// level.
-    budget_pct: f64,
     rows: Vec<Row>,
-    t_total: u64,
-    v_total: u64,
-    sem_total: u64,
-    regions: u64,
-    findings: u64,
+    /// The rows summed.
+    total: Row,
 }
 
 /// Share of translation time, in percent. `translate_ns` includes the
@@ -58,37 +54,33 @@ fn share_pct(translate_ns: u64, verify_ns: u64, part_ns: u64) -> f64 {
     part_ns as f64 / base as f64 * 100.0
 }
 
-fn sweep(level: VerifyLevel, label: &'static str, budget_pct: f64, scale: Scale) -> LevelReport {
-    let mut rep = LevelReport {
-        label,
-        budget_pct,
-        rows: Vec::new(),
-        t_total: 0,
-        v_total: 0,
-        sem_total: 0,
-        regions: 0,
-        findings: 0,
+fn sweep(level: VerifyLevel, label: &'static str, scale: Scale) -> LevelReport {
+    let rows: Vec<Row> = benchmarks()
+        .into_iter()
+        .map(|b| {
+            let mut cfg = default_config();
+            cfg.tol.verify_level = level;
+            let s = run_one(&b, scale, cfg).tol_stats;
+            Row {
+                name: b.name.to_string(),
+                translate_ns: s.translate_nanos,
+                verify_ns: s.verify_nanos,
+                sem_ns: s.verify_sem_nanos,
+                regions: s.verify_regions,
+                findings: s.verify_findings,
+            }
+        })
+        .collect();
+    let sum = |f: fn(&Row) -> u64| rows.iter().map(f).sum();
+    let total = Row {
+        name: "total".to_string(),
+        translate_ns: sum(|r| r.translate_ns),
+        verify_ns: sum(|r| r.verify_ns),
+        sem_ns: sum(|r| r.sem_ns),
+        regions: sum(|r| r.regions),
+        findings: sum(|r| r.findings),
     };
-    for b in benchmarks() {
-        let mut cfg = default_config();
-        cfg.tol.verify_level = level;
-        let r = run_one(&b, scale, cfg);
-        let s = r.tol_stats;
-        rep.t_total += s.translate_nanos;
-        rep.v_total += s.verify_nanos;
-        rep.sem_total += s.verify_sem_nanos;
-        rep.regions += s.verify_regions;
-        rep.findings += s.verify_findings;
-        rep.rows.push(Row {
-            name: b.name.to_string(),
-            translate_ns: s.translate_nanos,
-            verify_ns: s.verify_nanos,
-            sem_ns: s.verify_sem_nanos,
-            regions: s.verify_regions,
-            findings: s.verify_findings,
-        });
-    }
-    rep
+    LevelReport { label, rows, total }
 }
 
 /// The share this level is gated on: everything for the structural
@@ -102,20 +94,15 @@ fn gated_ns(rep: &LevelReport, verify_ns: u64, sem_ns: u64) -> u64 {
 }
 
 fn gated_total_pct(rep: &LevelReport) -> f64 {
-    share_pct(rep.t_total, rep.v_total, gated_ns(rep, rep.v_total, rep.sem_total))
+    let t = &rep.total;
+    share_pct(t.translate_ns, t.verify_ns, gated_ns(rep, t.verify_ns, t.sem_ns))
 }
 
 /// Min-of-N sweep: keep the repetition with the lowest gated share.
-fn best_sweep(
-    level: VerifyLevel,
-    label: &'static str,
-    budget_pct: f64,
-    scale: Scale,
-    repeat: usize,
-) -> LevelReport {
+fn best_sweep(level: VerifyLevel, label: &'static str, scale: Scale) -> LevelReport {
     let mut best: Option<LevelReport> = None;
-    for _ in 0..repeat.max(1) {
-        let rep = sweep(level, label, budget_pct, scale);
+    for _ in 0..measure::REPS {
+        let rep = sweep(level, label, scale);
         if best.as_ref().is_none_or(|b| gated_total_pct(&rep) < gated_total_pct(b)) {
             best = Some(rep);
         }
@@ -123,13 +110,16 @@ fn best_sweep(
     best.expect("at least one sweep")
 }
 
-fn print_level(rep: &LevelReport) -> f64 {
-    println!("\n-- level: {} (budget <= {:.0}%) --", rep.label, rep.budget_pct);
+fn print_level(rep: &LevelReport) {
+    println!("\n-- level: {} --", rep.label);
     println!(
         "{:<16} {:>12} {:>12} {:>11} {:>9} {:>8}",
         "benchmark", "translate_us", "verify_us", "semantic_us", "overhead", "regions"
     );
-    for row in &rep.rows {
+    for (i, row) in rep.rows.iter().chain([&rep.total]).enumerate() {
+        if i == rep.rows.len() {
+            println!("{:-<74}", "");
+        }
         println!(
             "{:<16} {:>12.1} {:>12.1} {:>11.1} {:>8.2}% {:>8}",
             row.name,
@@ -140,106 +130,54 @@ fn print_level(rep: &LevelReport) -> f64 {
             row.regions,
         );
     }
-    let total_pct = gated_total_pct(rep);
-    println!("{:-<74}", "");
-    println!(
-        "{:<16} {:>12.1} {:>12.1} {:>11.1} {:>8.2}% {:>8}",
-        "total",
-        rep.t_total as f64 / 1e3,
-        rep.v_total as f64 / 1e3,
-        rep.sem_total as f64 / 1e3,
-        total_pct,
-        rep.regions,
-    );
-    total_pct
 }
 
-fn write_level(w: &mut JsonWriter, rep: &LevelReport, total_pct: f64) {
+/// Opens `row`'s object and writes the fields every row has.
+fn row_json<'w>(w: &'w mut JsonWriter, row: &Row) -> &'w mut JsonWriter {
+    w.begin_obj(Some(&row.name))
+        .field_num("translate_ns", row.translate_ns)
+        .field_num("verify_ns", row.verify_ns)
+        .field_num("semantic_ns", row.sem_ns)
+        .field_f64("overhead_pct", share_pct(row.translate_ns, row.verify_ns, row.verify_ns))
+        .field_num("regions", row.regions)
+        .field_num("findings", row.findings)
+}
+
+fn write_level(w: &mut JsonWriter, rep: &LevelReport) {
     w.begin_obj(Some(rep.label));
     w.begin_obj(Some("workloads"));
     for row in &rep.rows {
-        w.begin_obj(Some(&row.name))
-            .field_num("translate_ns", row.translate_ns)
-            .field_num("verify_ns", row.verify_ns)
-            .field_num("semantic_ns", row.sem_ns)
-            .field_f64("overhead_pct", share_pct(row.translate_ns, row.verify_ns, row.verify_ns))
-            .field_num("regions", row.regions)
-            .field_num("findings", row.findings)
-            .end_obj();
+        row_json(w, row).end_obj();
     }
     w.end_obj();
-    w.begin_obj(Some("total"))
-        .field_num("translate_ns", rep.t_total)
-        .field_num("verify_ns", rep.v_total)
-        .field_num("semantic_ns", rep.sem_total)
-        .field_f64("overhead_pct", share_pct(rep.t_total, rep.v_total, rep.v_total))
-        .field_f64(
-            "structural_pct",
-            share_pct(rep.t_total, rep.v_total, rep.v_total - rep.sem_total),
-        )
-        .field_f64("semantic_pct", share_pct(rep.t_total, rep.v_total, rep.sem_total))
-        .field_f64("gated_pct", total_pct)
-        .field_num("regions", rep.regions)
-        .field_num("findings", rep.findings)
-        .field_f64("budget_pct", rep.budget_pct)
-        .field_bool("within_budget", total_pct <= rep.budget_pct)
+    let t = &rep.total;
+    row_json(w, t)
+        .field_f64("structural_pct", share_pct(t.translate_ns, t.verify_ns, t.verify_ns - t.sem_ns))
+        .field_f64("semantic_pct", share_pct(t.translate_ns, t.verify_ns, t.sem_ns))
+        .field_f64("gated_pct", gated_total_pct(rep))
         .end_obj();
     w.end_obj();
-}
-
-fn arg_after(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
 }
 
 fn main() {
     // Default to 1/16 so the full-suite sweep stays quick; `--scale N/D`
     // overrides.
-    let scale = if std::env::args().any(|a| a == "--scale") {
-        Scale::from_args()
-    } else {
-        Scale(1, 16)
-    };
-    let repeat: usize = arg_after("--repeat").and_then(|v| v.parse().ok()).unwrap_or(3);
-
-    let structural = best_sweep(VerifyLevel::Structural, "structural", 10.0, scale, repeat);
-    let semantic = best_sweep(VerifyLevel::Semantic, "semantic", 15.0, scale, repeat);
+    let args = Args::from_env(Scale(1, 16), measure::SCALE);
+    let structural = best_sweep(VerifyLevel::Structural, "structural", args.scale);
+    let semantic = best_sweep(VerifyLevel::Semantic, "semantic", args.scale);
 
     println!(
-        "== verify overhead (scale {}/{}, min of {repeat}, default config) ==",
-        scale.0, scale.1
+        "== verify overhead (scale {}, min of {}, default config) ==",
+        args.scale,
+        measure::REPS
     );
-    let s_pct = print_level(&structural);
-    let m_pct = print_level(&semantic);
+    print_level(&structural);
+    print_level(&semantic);
 
-    let mut w = JsonWriter::new();
-    w.begin_obj(None);
-    w.field_str("bench", "verify_overhead");
-    w.field_str("scale", &format!("{}/{}", scale.0, scale.1));
-    w.field_num("repeat", repeat as u64);
-    write_level(&mut w, &structural, s_pct);
-    write_level(&mut w, &semantic, m_pct);
+    let mut w = measure::header("verify", args.scale, measure::REPS);
+    write_level(&mut w, &structural);
+    write_level(&mut w, &semantic);
     w.end_obj();
-    let json = w.finish();
-    std::fs::write("BENCH_verify.json", &json).expect("write BENCH_verify.json");
-    println!("\nwrote BENCH_verify.json");
-
-    let mut bust = false;
-    for (rep, pct) in [(&structural, s_pct), (&semantic, m_pct)] {
-        if pct > rep.budget_pct {
-            eprintln!(
-                "verify overhead gate FAILED: {} {:.2}% > budget {:.0}%",
-                rep.label, pct, rep.budget_pct
-            );
-            bust = true;
-        }
-    }
-    if bust {
-        std::process::exit(1);
-    }
+    println!();
+    args.write("BENCH_verify.json", &w.finish());
 }

@@ -7,13 +7,14 @@
 //! shorter, so the reduction factor scales with program length).
 
 use darco::sampling::{warmup_study, WarmupConfig};
+use darco_bench::measure::{self, Args};
 use darco_bench::{paper, Scale};
 use darco_timing::TimingConfig;
 use darco_tol::TolConfig;
 use darco_workloads::benchmarks;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Args::from_env(Scale(1, 1), measure::SCALE).scale;
     let wcfg = WarmupConfig {
         sample_len: 20_000,
         num_samples: 4,

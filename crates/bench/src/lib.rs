@@ -1,10 +1,14 @@
 //! Shared harness for the experiment binaries: runs benchmarks through
 //! the full DARCO system, aggregates per-suite averages, and renders the
-//! paper-versus-measured tables that back `EXPERIMENTS.md`.
+//! paper-versus-measured tables that back `EXPERIMENTS.md`. [`measure`]
+//! holds the argument parser, the timing protocol and the gate table of
+//! the `BENCH_*.json` harnesses.
 
 use darco::{RunReport, SinkChoice, System, SystemConfig};
 use darco_tol::TolConfig;
 use darco_workloads::{benchmarks, Benchmark, Suite};
+
+pub mod measure;
 
 /// Paper reference values for the headline figures.
 pub mod paper {
@@ -23,42 +27,14 @@ pub mod paper {
 }
 
 /// Scale of a run (numerator, denominator applied to iteration counts).
-#[derive(Debug, Clone, Copy)]
+/// Parsed from `--scale N/D` by [`measure::Args`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale(pub u32, pub u32);
 
-impl Scale {
-    /// Parses `--scale N/D` from argv; default 1/1 (full size).
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--scale" {
-                if let Some(v) = args.get(i + 1) {
-                    let mut it = v.split('/');
-                    let n = it.next().and_then(|x| x.parse().ok()).unwrap_or(1);
-                    let d = it.next().and_then(|x| x.parse().ok()).unwrap_or(1);
-                    return Scale(n, d.max(1));
-                }
-            }
-        }
-        Scale(1, 1)
+impl std::fmt::Display for Scale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}/{}", self.0, self.1)
     }
-}
-
-/// Parses the shared `--jobs N` harness flag from argv; defaults to
-/// available parallelism. Every figure/ablation binary (and the
-/// fleet-backed suite helpers) honors it.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--jobs" {
-            if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// The default experiment configuration (functional mode).
@@ -79,9 +55,9 @@ pub fn run_one(b: &Benchmark, scale: Scale, cfg: SystemConfig) -> RunReport {
 }
 
 /// Runs an explicit `(benchmark, config)` job list, returning reports in
-/// input order. With `jobs > 1` the list executes on a `darco-fleet`
-/// work-stealing pool; results still come back in input order (the
-/// pool's determinism contract), so output is identical to a serial run.
+/// input order. The list executes on `jobs` workers of the `darco-fleet`
+/// pool; results still come back in input order (the pool's determinism
+/// contract), so output is identical at any worker count.
 ///
 /// # Panics
 /// Propagates [`run_one`]'s panic for any failing job — experiments must
@@ -91,18 +67,8 @@ pub fn run_jobs(
     jobs: usize,
     work: Vec<(Benchmark, SystemConfig)>,
 ) -> Vec<(Benchmark, RunReport)> {
-    if jobs.max(1) == 1 {
-        return work
-            .into_iter()
-            .map(|(b, cfg)| {
-                let r = run_one(&b, scale, cfg);
-                (b, r)
-            })
-            .collect();
-    }
     let benches: Vec<Benchmark> = work.iter().map(|(b, _)| b.clone()).collect();
-    let pool = darco_fleet::Pool::new(jobs);
-    let out = pool.map(work, move |_, (b, cfg)| run_one(b, scale, cfg.clone()));
+    let out = darco_fleet::Pool::new(jobs).map(work, |_, (b, cfg)| run_one(b, scale, cfg.clone()));
     benches
         .into_iter()
         .zip(out)
@@ -113,9 +79,9 @@ pub fn run_jobs(
         .collect()
 }
 
-/// Runs the whole suite on `jobs` workers, returning `(benchmark,
-/// report)` pairs in suite order.
-pub fn run_suite_jobs(
+/// Runs the whole suite on `jobs` workers (the `--jobs` flag), returning
+/// `(benchmark, report)` pairs in suite order.
+pub fn run_suite(
     scale: Scale,
     jobs: usize,
     mk_cfg: impl Fn(&Benchmark) -> SystemConfig,
@@ -128,16 +94,6 @@ pub fn run_suite_jobs(
         })
         .collect();
     run_jobs(scale, jobs, work)
-}
-
-/// Runs the whole suite, returning `(benchmark, report)` pairs. Honors
-/// the shared `--jobs N` flag (default: available parallelism) via the
-/// fleet pool; see [`run_suite_jobs`] for an explicit worker count.
-pub fn run_suite(
-    scale: Scale,
-    mk_cfg: impl Fn(&Benchmark) -> SystemConfig,
-) -> Vec<(Benchmark, RunReport)> {
-    run_suite_jobs(scale, jobs_from_args(), mk_cfg)
 }
 
 /// Per-suite average of a metric.

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Workloads lint independently, so the suite runs on the `darco-fleet`
-//! work-stealing pool (`--jobs N`, default: available parallelism).
+//! worker pool (`--jobs N`, default: available parallelism).
 //! Output order and content are identical for any worker count: each
 //! workload's report is rendered into a buffer and printed in target
 //! order after the pool drains.

@@ -77,7 +77,7 @@ pub enum JobStatus {
     /// Every attempt exceeded the wall-clock bound (value: the bound in
     /// milliseconds).
     TimedOut(u64),
-    /// Never started: the pool was poisoned (SIGINT) first.
+    /// Never started: the campaign was stopped (SIGINT) first.
     Skipped,
 }
 

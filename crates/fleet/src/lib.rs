@@ -1,6 +1,6 @@
 //! # darco-fleet — deterministic parallel campaign runner
 //!
-//! A zero-dependency (std-only) work-stealing thread pool and job
+//! A zero-dependency (std-only) worker pool and job
 //! scheduler for the whole DARCO simulation stack. A **campaign** is a
 //! JSON-specified matrix of jobs — workload × configuration × harness —
 //! executed with:
@@ -10,8 +10,6 @@
 //!   siblings keep running;
 //! * **wall-clock timeouts** with bounded retry (only timeouts retry:
 //!   deterministic failures would fail identically);
-//! * **bounded-queue backpressure** — submission blocks when the pool's
-//!   queue is full, so a fast producer cannot balloon memory;
 //! * **graceful shutdown** — SIGINT sets the cooperative scheduler's
 //!   stop flag; unstarted jobs drain as [`JobStatus::Skipped`] and live
 //!   engines checkpoint when a state dir is configured.

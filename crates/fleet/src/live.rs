@@ -5,8 +5,7 @@
 //! the cooperative scheduler (and the fuzz campaign) publish small JSON
 //! events into a [`LiveHub`], which fans them out to any number of
 //! subscribers — `darco-top` dashboards attached over TCP
-//! (`darco-fleet run --live ADDR`) or in-process line channels
-//! ([`LiveHub::subscribe_channel`]).
+//! (`darco-fleet run --live ADDR`).
 //!
 //! ## The stream protocol
 //!
@@ -48,35 +47,24 @@
 use darco_obs::{JsonWriter, RegistryDelta};
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Per-subscriber queue depth. A subscriber further than this many lines
 /// behind starts losing events (newest-dropped), which is the correct
 /// failure mode for telemetry.
 const SUB_QUEUE_CAP: usize = 1024;
 
-enum Sub {
-    /// TCP subscriber fed through a bounded channel (its writer thread
-    /// owns the socket); full queue drops the event.
-    Bounded(mpsc::SyncSender<String>),
-    /// In-process subscriber on an unbounded line channel.
-    Unbounded(mpsc::Sender<String>),
-}
+/// A TCP subscriber, fed through a bounded channel (its writer thread
+/// owns the socket).
+type Sub = mpsc::SyncSender<String>;
 
-impl Sub {
-    /// Delivers one line; `false` means the subscriber is gone.
-    fn deliver(&self, line: &str) -> bool {
-        match self {
-            Sub::Bounded(tx) => !matches!(
-                tx.try_send(line.to_string()),
-                Err(mpsc::TrySendError::Disconnected(_))
-            ),
-            Sub::Unbounded(tx) => tx.send(line.to_string()).is_ok(),
-        }
-    }
+/// Delivers one line, dropping it when the queue is full; `false` means
+/// the subscriber is gone.
+fn deliver(sub: &Sub, line: &str) -> bool {
+    !matches!(sub.try_send(line.to_string()), Err(mpsc::TrySendError::Disconnected(_)))
 }
 
 struct HubInner {
@@ -92,6 +80,9 @@ pub struct LiveHub {
     inner: Mutex<HubInner>,
     t0: Instant,
     closed: AtomicBool,
+    /// The listener's address, which [`LiveHub::close`] connects to once
+    /// so the blocked accept loop sees `closed` and exits.
+    addr: SocketAddr,
 }
 
 impl std::fmt::Debug for LiveHub {
@@ -101,16 +92,6 @@ impl std::fmt::Debug for LiveHub {
 }
 
 impl LiveHub {
-    /// A hub with no listener of its own — subscribers arrive through
-    /// [`LiveHub::subscribe_channel`].
-    pub fn detached() -> Arc<LiveHub> {
-        Arc::new(LiveHub {
-            inner: Mutex::new(HubInner { subs: Vec::new(), model: BTreeMap::new() }),
-            t0: Instant::now(),
-            closed: AtomicBool::new(false),
-        })
-    }
-
     /// Binds a TCP listener on `addr` and spawns the accept loop: every
     /// connection becomes a subscriber (catch-up replay, `sync`, then
     /// live events). Returns the hub and the bound address (real port
@@ -121,7 +102,12 @@ impl LiveHub {
     pub fn bind(addr: &str) -> std::io::Result<(Arc<LiveHub>, SocketAddr)> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        let hub = Self::detached();
+        let hub = Arc::new(LiveHub {
+            inner: Mutex::new(HubInner { subs: Vec::new(), model: BTreeMap::new() }),
+            t0: Instant::now(),
+            closed: AtomicBool::new(false),
+            addr: bound,
+        });
         let accept_hub = Arc::clone(&hub);
         let _ = std::thread::Builder::new().name("live-accept".to_string()).spawn(move || {
             for conn in listener.incoming() {
@@ -144,7 +130,7 @@ impl LiveHub {
                         }
                     },
                 );
-                accept_hub.attach(Sub::Bounded(tx));
+                accept_hub.attach(tx);
             }
         });
         Ok((hub, bound))
@@ -155,19 +141,15 @@ impl LiveHub {
         self.t0.elapsed().as_millis() as u64
     }
 
-    /// Subscribes an existing line channel: the catch-up replay and
-    /// `sync` marker are queued immediately, live events follow.
-    pub fn subscribe_channel(&self, tx: mpsc::Sender<String>) {
-        self.attach(Sub::Unbounded(tx));
-    }
-
+    /// Subscribes `sub`: the catch-up replay and `sync` marker are
+    /// queued immediately, live events follow.
     fn attach(&self, sub: Sub) {
         let mut inner = self.inner.lock().expect("live hub lock");
         let mut alive = true;
         for line in inner.model.values() {
-            alive &= sub.deliver(line);
+            alive &= deliver(&sub, line);
         }
-        alive &= sub.deliver(&sync_event(self.now_ms()));
+        alive &= deliver(&sub, &sync_event(self.now_ms()));
         if alive {
             inner.subs.push(sub);
         }
@@ -180,14 +162,27 @@ impl LiveHub {
         if let Some(k) = key {
             inner.model.insert(k.to_string(), line.to_string());
         }
-        inner.subs.retain(|s| s.deliver(line));
+        inner.subs.retain(|s| deliver(s, line));
     }
 
     /// Stops accepting new TCP subscribers and drops the current ones
-    /// (their queues drain, then their writer threads exit). Published
-    /// events after close only update the model.
+    /// (their queues drain, then their writer threads exit). The accept
+    /// loop exits and releases the listening socket. Published events
+    /// after close only update the model.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
+        if !self.closed.swap(true, Ordering::SeqCst) {
+            // Wake the accept loop, blocked in `accept`, with one
+            // throwaway connection; it sees `closed` and drops the
+            // listener. A wildcard bind is reached through loopback.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        }
         self.inner.lock().expect("live hub lock").subs.clear();
     }
 
@@ -313,7 +308,6 @@ pub fn sync_event(t_ms: u64) -> String {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
-    use std::net::TcpStream;
 
     #[test]
     fn late_subscriber_gets_model_then_sync_then_live() {
@@ -354,6 +348,21 @@ mod tests {
         assert_eq!(ev(&end).as_deref(), Some("end"));
         assert_eq!(end.get("ok").and_then(|v| v.as_num()), Some(2.0));
         hub.close();
+    }
+
+    #[test]
+    fn close_ends_the_accept_loop() {
+        let (hub, addr) = LiveHub::bind("127.0.0.1:0").unwrap();
+        hub.close();
+        // The accept thread holds the other reference to the hub and
+        // drops it, with the listener, when its loop exits.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&hub) > 1 {
+            assert!(Instant::now() < deadline, "accept loop still running after close");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(TcpStream::connect(addr).is_err(), "listener still open after close");
+        hub.close(); // idempotent: no second wake-up connection
     }
 
     #[test]

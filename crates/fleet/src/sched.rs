@@ -435,7 +435,7 @@ fn is_engine_job(spec: &JobSpec) -> bool {
 /// owns a slate of engines (jobs dealt round-robin by id) and time-slices
 /// them `opts.quantum` instructions at a time; atomic jobs (lint, fault
 /// injection) run first through the classic per-job protocol. `stop`
-/// mirrors the pool's poison flag: once set, unstarted jobs drain as
+/// is the SIGINT flag: once set, unstarted jobs drain as
 /// skipped and live engines are checkpointed (when a state dir is
 /// configured) instead of finishing.
 pub fn run_campaign_cooperative(

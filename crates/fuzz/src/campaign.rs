@@ -328,7 +328,6 @@ pub fn run(opts: &FuzzOpts) -> Result<CampaignSummary, String> {
     let mut execs = 0u64;
     let mut total_insns = 0u64;
     let mut next_idx = 0u64;
-    let mut poisoned = false;
 
     // One batch = build candidates from the corpus snapshot, evaluate on
     // the pool (results return in index order), fold sequentially.
@@ -339,8 +338,7 @@ pub fn run(opts: &FuzzOpts) -> Result<CampaignSummary, String> {
                          findings: &mut Vec<Finding>,
                          metrics: &mut Registry,
                          execs: &mut u64,
-                         total_insns: &mut u64,
-                         poisoned: &mut bool| {
+                         total_insns: &mut u64| {
         let lanes_cl = lanes.clone();
         let results = pool.map(batch.clone(), move |_, prog| evaluate(prog, &lanes_cl));
         for (k, res) in results.into_iter().enumerate() {
@@ -348,10 +346,6 @@ pub fn run(opts: &FuzzOpts) -> Result<CampaignSummary, String> {
             let prog = &batch[k];
             let outcome = match res {
                 Ok(eval) => eval,
-                Err(TaskError::Skipped) => {
-                    *poisoned = true;
-                    continue;
-                }
                 Err(TaskError::Panicked(msg)) => Eval::Diverged(Divergence {
                     kind: crate::oracle::DivKind::LaneError { lane: "worker" },
                     detail: format!("worker panic: {msg}"),
@@ -418,13 +412,9 @@ pub fn run(opts: &FuzzOpts) -> Result<CampaignSummary, String> {
         &mut metrics,
         &mut execs,
         &mut total_insns,
-        &mut poisoned,
     );
 
     for gen in 0..generations as u64 {
-        if poisoned {
-            break;
-        }
         let batch: Vec<_> = (0..GENERATION as u64)
             .map(|k| candidate(opts.seed, next_idx + k, &profiles, &corpus))
             .collect();
@@ -439,7 +429,6 @@ pub fn run(opts: &FuzzOpts) -> Result<CampaignSummary, String> {
             &mut metrics,
             &mut execs,
             &mut total_insns,
-            &mut poisoned,
         );
         let divergences: u64 = findings.iter().map(|f| 1 + f.dup_count).sum();
         if let Some(feed) = live.as_mut() {

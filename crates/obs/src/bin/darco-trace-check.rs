@@ -3,17 +3,12 @@
 //!
 //! ```text
 //! darco-trace-check trace.json [more files...]   # chrome traces / flight dumps / any JSON
-//! darco-trace-check --obs-gate BENCH_obs.json    # enforce the tracing overhead budget
 //! ```
 //!
 //! A chrome trace (top-level array) is checked for the required
 //! `name`/`ph`/`ts`/`pid`/`tid` members; a flight dump (object with
 //! `darco_flight`) for marker, ordered events and metrics; anything else
-//! just has to parse. `--obs-gate` reads a `BENCH_obs.json` produced by
-//! the `obs_overhead` harness and fails when tracing-enabled overhead
-//! exceeds 5%, the disabled-tracer overhead vs. the recorded hot-path
-//! baseline exceeds 1%, or live streaming / the sampling profiler cost
-//! more than 2% each.
+//! just has to parse.
 
 use darco_obs::{chrome, flight, json};
 use std::process::ExitCode;
@@ -32,69 +27,15 @@ fn check_file(path: &str) -> Result<String, String> {
     }
 }
 
-fn obs_gate(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| e.to_string())?;
-    let traced = doc
-        .get("overhead_traced")
-        .and_then(|v| v.as_num())
-        .ok_or("missing `overhead_traced`")?;
-    if traced > 0.05 {
-        return Err(format!("tracing-enabled overhead {:.2}% exceeds the 5% budget", traced * 100.0));
-    }
-    // The disabled-tracer comparison is informational when no hot-path
-    // baseline was available at measurement time.
-    let mut null_part = "no null-trace baseline".to_string();
-    if let Some(null) = doc.get("overhead_null_vs_baseline").and_then(|v| v.as_num()) {
-        if null > 0.01 {
-            return Err(format!(
-                "NullTrace overhead {:.2}% vs. hot-path baseline exceeds the 1% budget",
-                null * 100.0
-            ));
-        }
-        null_part = format!("null-vs-baseline {:+.2}%", null * 100.0);
-    }
-    let stream = doc
-        .get("overhead_stream")
-        .and_then(|v| v.as_num())
-        .ok_or("missing `overhead_stream` (regenerate BENCH_obs.json)")?;
-    if stream > 0.02 {
-        return Err(format!(
-            "live-streaming overhead {:.2}% on the fleet suite exceeds the 2% budget",
-            stream * 100.0
-        ));
-    }
-    let profiler = doc
-        .get("overhead_profiler")
-        .and_then(|v| v.as_num())
-        .ok_or("missing `overhead_profiler` (regenerate BENCH_obs.json)")?;
-    if profiler > 0.02 {
-        return Err(format!(
-            "sampling-profiler overhead {:.2}% exceeds the 2% budget",
-            profiler * 100.0
-        ));
-    }
-    Ok(format!(
-        "overhead gate OK: traced {:+.2}%, {}, stream {:+.2}%, profiler {:+.2}%",
-        traced * 100.0,
-        null_part,
-        stream * 100.0,
-        profiler * 100.0
-    ))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: darco-trace-check [--obs-gate] <file.json> [more files...]");
+        eprintln!("usage: darco-trace-check <file.json> [more files...]");
         return ExitCode::from(2);
     }
-    let gate = args[0] == "--obs-gate";
-    let files = if gate { &args[1..] } else { &args[..] };
     let mut failed = false;
-    for path in files {
-        let res = if gate { obs_gate(path) } else { check_file(path) };
-        match res {
+    for path in &args {
+        match check_file(path) {
             Ok(msg) => println!("{path}: {msg}"),
             Err(msg) => {
                 eprintln!("{path}: FAIL: {msg}");
