@@ -24,6 +24,10 @@
 //! ([`darco_bench::measure`]): the four per-workload variants (off,
 //! ring, stepped, profiled) interleave within each repetition, and each
 //! keeps its per-workload minimum.
+//!
+//! A scale at which some subset workload ends before one profiler
+//! quantum would compare an unsampled run with itself, so the harness
+//! refuses it up front (exit 2) and names the smallest scale that works.
 
 use darco::json::JsonWriter;
 use darco::{StepExit, System, SystemConfig};
@@ -32,6 +36,7 @@ use darco_bench::{default_config, run_one, Scale};
 use darco_fleet::{parse_campaign, run_campaign_cooperative, Campaign, LiveHub, SchedOpts};
 use darco_obs::json::{parse, JsonValue};
 use darco_workloads::benchmarks;
+use darco_xcomp::XComponent;
 use std::net::TcpStream;
 use std::sync::atomic::AtomicBool;
 
@@ -81,10 +86,56 @@ fn sample(v: usize, w: usize, scale: Scale) -> (f64, (u64, u64)) {
         }
         if profiled {
             let p = e.profiler().expect("profiler attached");
-            assert!(p.samples() > 0, "profiler must actually sample");
+            assert!(p.samples() > 0, "check_profiler_scale admits only sampling scales");
         }
         (e.insns(), 0)
     })
+}
+
+/// Whether subset workload `w` at `scale` runs past one profiler
+/// quantum, so that its profiled variant takes a sample. A standalone
+/// authoritative run of `PROFILE_QUANTUM + 1` instructions decides.
+fn reaches_a_sample(w: usize, scale: Scale) -> bool {
+    let profile = benchmarks()[SET[w]].profile.clone().scaled(scale.0, scale.1);
+    XComponent::new(&darco_workloads::build(&profile)).run_until(PROFILE_QUANTUM + 1).is_ok()
+}
+
+/// The largest `d <= max_den` for which `reaches(d)` holds, given that
+/// `reaches(d + 1)` implies `reaches(d)` (a larger scale never runs
+/// shorter): the denominator of the smallest `1/d` scale that works.
+fn largest_den(max_den: u32, reaches: impl Fn(u32) -> bool) -> Option<u32> {
+    // The answer lies in `lo..=hi`, where `lo == 0` stands for none.
+    let (mut lo, mut hi) = (0, max_den);
+    while lo < hi {
+        let mid = hi - (hi - lo) / 2;
+        if reaches(mid) {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    (lo > 0).then_some(lo)
+}
+
+/// `Err` naming the smallest workable scale when a subset workload at
+/// `scale` ends before the profiler's first sample.
+fn check_profiler_scale(scale: Scale) -> Result<(), String> {
+    let short: Vec<&str> =
+        (0..SET.len()).filter(|&w| !reaches_a_sample(w, scale)).map(|w| benchmarks()[SET[w]].name).collect();
+    if short.is_empty() {
+        return Ok(());
+    }
+    let every = |d| (0..SET.len()).all(|w| reaches_a_sample(w, Scale(1, d)));
+    let fix = match largest_den(scale.1, every) {
+        Some(d) => format!("the smallest scale at which every subset workload reaches one is --scale 1/{d}"),
+        None => "no scale up to 1/1 lets every subset workload reach one".to_string(),
+    };
+    let verb = if short.len() == 1 { "ends" } else { "end" };
+    Err(format!(
+        "--scale {scale} is too small: {} {verb} before the profiler's first \
+         {PROFILE_QUANTUM}-instruction sample; {fix}",
+        short.join(", ")
+    ))
 }
 
 /// Reads `emu.sb.mips` from `BENCH_jit.json`, which must have been
@@ -162,6 +213,10 @@ fn mode_json(w: &mut JsonWriter, name: &str, (wall, insns, events): (f64, u64, u
 fn main() {
     let args = Args::from_env(Scale(1, 1), measure::SCALE);
     let scale = args.scale;
+    if let Err(e) = check_profiler_scale(scale) {
+        eprintln!("obs_overhead: {e}");
+        std::process::exit(2);
+    }
     let names: Vec<&str> = SET.iter().map(|&i| benchmarks()[i].name).collect();
     let baseline = jit_baseline(scale, &names).unwrap_or_else(|e| {
         eprintln!("obs_overhead: no like-for-like disabled-tracer baseline: {e}");
@@ -217,4 +272,27 @@ fn main() {
     w.field_f64("overhead_profiler", overhead_profiler);
     w.end_obj();
     args.write("BENCH_obs.json", &w.finish());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn largest_den_finds_the_boundary() {
+        assert_eq!(largest_den(512, |d| d <= 73), Some(73));
+        assert_eq!(largest_den(512, |_| true), Some(512));
+        assert_eq!(largest_den(512, |d| d == 1), Some(1));
+        assert_eq!(largest_den(512, |_| false), None);
+    }
+
+    #[test]
+    fn a_scale_too_small_to_sample_is_refused_with_the_smallest_that_works() {
+        let err = check_profiler_scale(Scale(1, 512)).unwrap_err();
+        let d: u32 = err.rsplit("--scale 1/").next().unwrap().parse().expect("names a 1/d scale");
+        assert!(d < 512, "{err}");
+        assert_eq!(check_profiler_scale(Scale(1, d)), Ok(()));
+        assert!(check_profiler_scale(Scale(1, d + 1)).is_err());
+        assert_eq!(check_profiler_scale(Scale(1, 64)), Ok(()), "the CI smoke scale samples");
+    }
 }

@@ -164,6 +164,7 @@ pub fn effective_addr(st: &GuestState, a: &Addr) -> u32 {
 /// architecture specifies, and returns the result.
 ///
 /// Exposed so that optimizer tests can cross-check constant folding.
+#[inline]
 pub fn eval_alu(op: AluOp, a: u32, b: u32, fl: &mut Flags) -> u32 {
     let cin = fl.cf as u32;
     let (r, cf, of) = match op {
@@ -292,13 +293,26 @@ pub fn eval_irem(a: u32, b: u32) -> u32 {
 }
 
 /// Evaluates an FP binary operation.
+///
+/// A NaN operand propagates as on x86 SSE: the result is `a` if it is a
+/// NaN, else `b`, made quiet. Rust leaves the NaN a `+` returns open, and
+/// the compiler may commute the operands differently in each copy it
+/// inlines, so the rule is applied explicitly; every copy of this
+/// function then returns the same bits.
 #[inline]
 pub fn eval_fbin(op: FBinOp, a: f64, b: f64) -> f64 {
+    let arith = |r: f64| {
+        if !r.is_nan() || !(a.is_nan() || b.is_nan()) {
+            return r;
+        }
+        let nan = if a.is_nan() { a } else { b };
+        f64::from_bits(nan.to_bits() | 1 << 51)
+    };
     match op {
-        FBinOp::Add => a + b,
-        FBinOp::Sub => a - b,
-        FBinOp::Mul => a * b,
-        FBinOp::Div => a / b,
+        FBinOp::Add => arith(a + b),
+        FBinOp::Sub => arith(a - b),
+        FBinOp::Mul => arith(a * b),
+        FBinOp::Div => arith(a / b),
         // IEEE-style min/max that propagate the first operand on NaN ties
         // is messy; GISA defines: NaN in either operand yields NaN.
         FBinOp::Min => {
@@ -356,6 +370,7 @@ pub fn eval_fcmp(a: f64, b: f64, fl: &mut Flags) {
 ///
 /// # Errors
 /// Returns [`Fault`] for unmapped memory, division by zero.
+#[inline]
 pub fn exec_insn(st: &mut GuestState, insn: &Insn, pc: u32, len: u32) -> Result<Next, Fault> {
     let fallthrough = pc.wrapping_add(len);
     match *insn {
@@ -842,6 +857,21 @@ mod tests {
         });
         assert_eq!(st.fpr(Fpr::new(0)), 6.0f64.sqrt());
         assert_eq!(st.gpr(Gpr::Eax), 1);
+    }
+
+    #[test]
+    fn fbin_nan_propagation_follows_sse() {
+        let pos = f64::from_bits(0x7FF4_0000_0000_57B0); // signalling
+        let neg = f64::from_bits(0xFFFF_F840_0000_57B0);
+        let quiet = |x: f64| x.to_bits() | 1 << 51;
+        for op in [FBinOp::Add, FBinOp::Sub, FBinOp::Mul, FBinOp::Div] {
+            let f = |a: f64, b: f64| eval_fbin(op, std::hint::black_box(a), std::hint::black_box(b)).to_bits();
+            assert_eq!(f(pos, neg), quiet(pos), "{op:?}: the first NaN wins");
+            assert_eq!(f(neg, pos), quiet(neg), "{op:?}");
+            assert_eq!(f(1.5, pos), quiet(pos), "{op:?}: a NaN second operand");
+            assert_eq!(f(neg, 1.5), quiet(neg), "{op:?}");
+        }
+        assert_eq!(eval_fbin(FBinOp::Add, 1.5, 2.0), 3.5);
     }
 
     #[test]

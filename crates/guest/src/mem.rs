@@ -11,21 +11,30 @@
 //!
 //! Page storage is an arena (`slots`) indexed through a `BTreeMap` page
 //! table, fronted by two small direct-mapped *L0 TLBs* (one for reads,
-//! one for writes) that cache `page → slot` resolutions. Single-page
-//! accesses — the overwhelmingly common case — hit the TLB and copy a
-//! slice without touching the map. The TLBs are flushed whenever the page
-//! table changes ([`GuestMem::map_zero`] of a new page,
-//! [`GuestMem::install_page`] of a new page, [`GuestMem::unmap`]).
+//! one for writes) that cache `page → slot` resolutions. The typed
+//! accessors (`read_u8` … `read_u64`, `write_*`, `read_width`,
+//! `write_width`) all go through one const-generic pair, `load::<N>` and
+//! `store::<N>`: a single-page access that hits the TLB is a fixed-size
+//! `N`-byte copy, with no map lookup and no variable-length copy call.
+//! Only an access that straddles a page boundary or misses the TLB falls
+//! back to the general [`GuestMem::read`]/[`GuestMem::write`], which
+//! refill the TLB. The TLBs are flushed whenever the page table changes
+//! ([`GuestMem::map_zero`] of a new page, [`GuestMem::install_page`] of a
+//! new page, [`GuestMem::unmap`]).
 //!
 //! Pages holding decoded instructions can be marked with
 //! [`GuestMem::mark_code_page`]; writes to marked pages bump a generation
 //! counter ([`GuestMem::code_gen`]) that decode caches use to invalidate
 //! stale predecoded blocks (self-modifying code). Code pages are never
 //! entered into the write TLB, so every write to one takes the slow path
-//! and is observed.
+//! and bumps the generation exactly once per page it touches. The
+//! code-page set is probed on every write-TLB refill and by the host
+//! backends' self-modification checks, so it hashes with `U32Hasher`
+//! rather than SipHash.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// log2 of the page size.
 pub const PAGE_SHIFT: u32 = 12;
@@ -37,6 +46,37 @@ const TLB_ENTRIES: usize = 16;
 const TLB_MASK: u32 = TLB_ENTRIES as u32 - 1;
 /// An invalid TLB entry (tag half is zero; tags store `page + 1`).
 const TLB_INVALID: u64 = 0;
+
+/// A multiplicative hasher for the `u32` keys of the hot guest tables
+/// (page numbers here, block entry PCs in
+/// [`DecodeCache`](crate::predecode::DecodeCache)). The simulator picks
+/// these keys itself, so SipHash's flooding resistance buys nothing here,
+/// and SipHash took about a tenth of engine time in a native run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct U32Hasher(u64);
+
+impl Hasher for U32Hasher {
+    #[inline]
+    fn write_u32(&mut self, k: u32) {
+        self.0 = (self.0 ^ k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b as u32);
+        }
+    }
+
+    /// Folds the well-mixed high half into the low bits the table
+    /// indexes by.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// `BuildHasher` for [`U32Hasher`] maps and sets.
+pub(crate) type U32BuildHasher = BuildHasherDefault<U32Hasher>;
 
 /// A memory access fault: the referenced page is not mapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +104,7 @@ pub struct GuestMem {
     read_tlb: [Cell<u64>; TLB_ENTRIES],
     write_tlb: [Cell<u64>; TLB_ENTRIES],
     /// Pages containing predecoded instructions (see module docs).
-    code_pages: HashSet<u32>,
+    code_pages: HashSet<u32, U32BuildHasher>,
     code_gen: u64,
 }
 
@@ -349,82 +389,115 @@ impl GuestMem {
         Ok(())
     }
 
+    /// The typed-read path: a fixed-size copy out of the page when the
+    /// access stays in one page and the read TLB hits, [`GuestMem::read`]
+    /// (which refills the TLB) otherwise.
+    #[inline]
+    fn load<const N: usize>(&self, addr: u32) -> Result<[u8; N], PageFault> {
+        let mut b = [0u8; N];
+        let off = (addr & (PAGE_SIZE - 1)) as usize;
+        match Self::tlb_get(&self.read_tlb, Self::page_of(addr)) {
+            Some(slot) if off + N <= PAGE_SIZE as usize => {
+                b.copy_from_slice(&self.slots[slot as usize][off..off + N]);
+            }
+            _ => self.read(addr, &mut b)?,
+        }
+        Ok(b)
+    }
+
+    /// The typed-write path: a fixed-size copy into the page when the
+    /// access stays in one page and the write TLB hits, [`GuestMem::write`]
+    /// otherwise. Code pages never enter the write TLB, so a store to one
+    /// always takes `write` and bumps [`GuestMem::code_gen`].
+    #[inline]
+    fn store<const N: usize>(&mut self, addr: u32, b: [u8; N]) -> Result<(), PageFault> {
+        let off = (addr & (PAGE_SIZE - 1)) as usize;
+        match Self::tlb_get(&self.write_tlb, Self::page_of(addr)) {
+            Some(slot) if off + N <= PAGE_SIZE as usize => {
+                self.slots[slot as usize][off..off + N].copy_from_slice(&b);
+                Ok(())
+            }
+            _ => self.write(addr, &b),
+        }
+    }
+
     /// Reads a `u8`.
     ///
     /// # Errors
     /// Faults if the page is unmapped.
+    #[inline]
     pub fn read_u8(&self, addr: u32) -> Result<u8, PageFault> {
-        let mut b = [0u8; 1];
-        self.read(addr, &mut b)?;
-        Ok(b[0])
+        self.load(addr).map(u8::from_le_bytes)
     }
 
     /// Reads a little-endian `u16`.
     ///
     /// # Errors
     /// Faults if any byte is unmapped.
+    #[inline]
     pub fn read_u16(&self, addr: u32) -> Result<u16, PageFault> {
-        let mut b = [0u8; 2];
-        self.read(addr, &mut b)?;
-        Ok(u16::from_le_bytes(b))
+        self.load(addr).map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     ///
     /// # Errors
     /// Faults if any byte is unmapped.
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> Result<u32, PageFault> {
-        let mut b = [0u8; 4];
-        self.read(addr, &mut b)?;
-        Ok(u32::from_le_bytes(b))
+        self.load(addr).map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     ///
     /// # Errors
     /// Faults if any byte is unmapped.
+    #[inline]
     pub fn read_u64(&self, addr: u32) -> Result<u64, PageFault> {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b)?;
-        Ok(u64::from_le_bytes(b))
+        self.load(addr).map(u64::from_le_bytes)
     }
 
     /// Writes a `u8`.
     ///
     /// # Errors
     /// Faults if the page is unmapped.
+    #[inline]
     pub fn write_u8(&mut self, addr: u32, v: u8) -> Result<(), PageFault> {
-        self.write(addr, &[v])
+        self.store(addr, v.to_le_bytes())
     }
 
     /// Writes a little-endian `u16`.
     ///
     /// # Errors
     /// Faults if any byte is unmapped.
+    #[inline]
     pub fn write_u16(&mut self, addr: u32, v: u16) -> Result<(), PageFault> {
-        self.write(addr, &v.to_le_bytes())
+        self.store(addr, v.to_le_bytes())
     }
 
     /// Writes a little-endian `u32`.
     ///
     /// # Errors
     /// Faults if any byte is unmapped.
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, v: u32) -> Result<(), PageFault> {
-        self.write(addr, &v.to_le_bytes())
+        self.store(addr, v.to_le_bytes())
     }
 
     /// Writes a little-endian `u64`.
     ///
     /// # Errors
     /// Faults if any byte is unmapped.
+    #[inline]
     pub fn write_u64(&mut self, addr: u32, v: u64) -> Result<(), PageFault> {
-        self.write(addr, &v.to_le_bytes())
+        self.store(addr, v.to_le_bytes())
     }
 
     /// Reads a value of the given width, zero- or sign-extended to 32 bits.
     ///
     /// # Errors
     /// Faults if any byte is unmapped.
+    #[inline]
     pub fn read_width(&self, addr: u32, width: crate::reg::Width, sign: bool) -> Result<u32, PageFault> {
         use crate::reg::Width;
         Ok(match (width, sign) {
@@ -440,6 +513,7 @@ impl GuestMem {
     ///
     /// # Errors
     /// Faults if any byte is unmapped.
+    #[inline]
     pub fn write_width(&mut self, addr: u32, v: u32, width: crate::reg::Width) -> Result<(), PageFault> {
         use crate::reg::Width;
         match width {
@@ -501,7 +575,7 @@ impl GuestMem {
             page_map.insert(num, slots.len() as u32);
             slots.push(data);
         }
-        let code_pages: HashSet<u32> = r.get_u32s()?.into_iter().collect();
+        let code_pages: HashSet<u32, U32BuildHasher> = r.get_u32s()?.into_iter().collect();
         let code_gen = r.get_u64()?;
         self.page_map = page_map;
         self.slots = slots;
@@ -549,11 +623,19 @@ mod tests {
     fn cross_page_access_faults_atomically() {
         let mut m = GuestMem::new();
         m.map_zero(0);
-        // u32 at 0xFFE crosses into page 1 (unmapped): must fault and write nothing.
-        let err = m.write_u32(0xFFE, 0xDEAD_BEEF).unwrap_err();
-        assert!(err.write);
-        assert_eq!(err.addr, 0x1000);
-        assert_eq!(m.read_u16(0xFFE).unwrap(), 0, "no partial write");
+        for addr in PAGE_SIZE - 8..PAGE_SIZE {
+            m.write_u8(addr, 0x5A).unwrap(); // also puts page 0 in both TLBs
+        }
+        // Each access crosses into page 1 (unmapped): it must fault at the
+        // page boundary and write nothing.
+        let fault = Err(PageFault { addr: PAGE_SIZE, write: true });
+        assert_eq!(m.write_u16(PAGE_SIZE - 1, 0xFFFF), fault);
+        assert_eq!(m.write_u32(PAGE_SIZE - 2, 0xDEAD_BEEF), fault);
+        assert_eq!(m.write_u64(PAGE_SIZE - 7, u64::MAX), fault);
+        assert_eq!(m.write_width(PAGE_SIZE - 3, u32::MAX, crate::reg::Width::D), fault);
+        assert_eq!(m.read_vec(PAGE_SIZE - 8, 8).unwrap(), [0x5A; 8], "no partial write");
+        assert_eq!(m.read_u32(PAGE_SIZE - 2), Err(PageFault { addr: PAGE_SIZE, write: false }));
+        assert_eq!(m.page_count(), 1, "nothing was mapped");
         m.map_zero(1);
         m.write_u32(0xFFE, 0xDEAD_BEEF).unwrap();
         assert_eq!(m.read_u32(0xFFE).unwrap(), 0xDEAD_BEEF);
@@ -645,15 +727,26 @@ mod tests {
         m.map_zero(2);
         let g0 = m.code_gen();
         m.write_u32(0x2000, 5).unwrap();
+        m.write_u32(0x1000, 0).unwrap(); // page 1 enters the write TLB...
         assert_eq!(m.code_gen(), g0, "writes to plain pages don't bump");
-        m.mark_code_page(1);
+        m.mark_code_page(1); // ...and marking evicts it
         m.write_u32(0x2000, 6).unwrap();
         assert_eq!(m.code_gen(), g0, "other pages still don't bump");
+        for i in 0..4 {
+            let g = m.code_gen();
+            m.write_u32(0x1010 + 4 * i, i).unwrap();
+            assert_eq!(m.code_gen(), g + 1, "each store to a code page bumps once");
+        }
+        let g = m.code_gen();
         m.write_u8(0x1000, 0xCC).unwrap();
-        assert!(m.code_gen() > g0, "write to a code page bumps the generation");
-        let g1 = m.code_gen();
+        m.write_u16(0x1002, 2).unwrap();
+        m.write_u64(0x1008, 3).unwrap();
+        m.write_width(0x1004, 4, crate::reg::Width::D).unwrap();
+        assert_eq!(m.code_gen(), g + 4, "one bump per store, at every width");
+        m.read_u32(0x1000).unwrap();
+        assert_eq!(m.code_gen(), g + 4, "reads never bump");
         m.install_page(1, vec![0u8; PAGE_SIZE as usize]);
-        assert!(m.code_gen() > g1, "installing over a code page bumps too");
+        assert_eq!(m.code_gen(), g + 5, "installing over a code page bumps too");
     }
 
     #[test]
@@ -696,6 +789,49 @@ mod tests {
         let g = restored.code_gen();
         restored.write_u8(0x7004, 1).unwrap();
         assert!(restored.code_gen() > g);
+    }
+
+    #[test]
+    fn straddling_typed_accesses_equal_bytewise_ones() {
+        let mut m = GuestMem::new();
+        m.map_zero(0);
+        m.map_zero(1);
+        // Warm both TLBs on page 0, so a straddling access would hit them.
+        m.write_u8(0, 0).unwrap();
+        m.read_u8(0).unwrap();
+        let bytewise = |m: &GuestMem, addr: u32, n: u32| -> u64 {
+            (0..n).rev().fold(0, |v, i| v << 8 | m.read_u8(addr + i).unwrap() as u64)
+        };
+        let set_bytes = |m: &mut GuestMem, addr: u32, n: u32, v: u64| {
+            for i in 0..n {
+                m.write_u8(addr + i, (v >> (8 * i)) as u8).unwrap();
+            }
+        };
+        let (a, b) = (0x0807_0605_0403_0201u64, 0xF1E2_D3C4_B5A6_9788u64);
+        for addr in PAGE_SIZE - 7..PAGE_SIZE {
+            m.write_u64(addr, a).unwrap();
+            assert_eq!(bytewise(&m, addr, 8), a);
+            set_bytes(&mut m, addr, 8, b);
+            assert_eq!(m.read_u64(addr).unwrap(), b);
+            if addr >= PAGE_SIZE - 3 {
+                m.write_u32(addr, a as u32).unwrap();
+                assert_eq!(bytewise(&m, addr, 4), a as u32 as u64);
+                set_bytes(&mut m, addr, 4, b);
+                assert_eq!(m.read_u32(addr).unwrap(), b as u32);
+                m.write_width(addr, a as u32, crate::reg::Width::D).unwrap();
+                assert_eq!(m.read_width(addr, crate::reg::Width::D, false).unwrap(), a as u32);
+            }
+            if addr == PAGE_SIZE - 1 {
+                m.write_u16(addr, a as u16).unwrap();
+                assert_eq!(bytewise(&m, addr, 2), a as u16 as u64);
+                set_bytes(&mut m, addr, 2, b);
+                assert_eq!(m.read_u16(addr).unwrap(), b as u16);
+                assert_eq!(
+                    m.read_width(addr, crate::reg::Width::W, true).unwrap(),
+                    b as u16 as i16 as i32 as u32
+                );
+            }
+        }
     }
 
     #[test]

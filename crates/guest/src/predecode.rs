@@ -14,17 +14,30 @@
 //! stop. [`crate::exec::step`] stays the fetch-per-instruction reference
 //! it is tested against.
 //!
+//! ## Dispatch without hashing
+//!
+//! Blocks live in an arena, with one PC → slot index (hashed by
+//! `mem::U32Hasher`). Each block caches its two most recent
+//! successors as `(pc, slot)` links, and the cache remembers the block it
+//! entered last, so entering the next block usually compares two PCs
+//! instead of hashing; the index is probed once, on a link miss. Inside a
+//! block, the replay loop does only the instruction's own work:
+//! [`exec_insn`] inlines into it, `syscall`/`halt` (which only end blocks)
+//! are caught through the [`Next`] they return, and the budget bounds the
+//! loop index instead of being tested per instruction.
+//!
 //! Coherence with self-modifying code relies on [`GuestMem`]'s code-page
 //! generation: every page a decoded block's bytes occupy is marked with
 //! [`GuestMem::mark_code_page`], any write to a marked page bumps
 //! [`GuestMem::code_gen`], and [`DecodeCache::block`] flushes the whole
-//! cache whenever the generation moved. The replay re-checks the
-//! generation after every retired instruction, so a block that modifies
-//! *itself* stops before stale bytes can execute.
+//! cache — arena, index and links together — whenever the generation
+//! moved, so no link outlives the block it names. The replay re-checks
+//! the generation after every retired instruction, so a block that
+//! modifies *itself* stops before stale bytes can execute.
 
 use crate::exec::{exec_insn, fetch, Fault, Next};
 use crate::insn::Insn;
-use crate::mem::{GuestMem, PAGE_SHIFT};
+use crate::mem::{GuestMem, U32BuildHasher, PAGE_SHIFT};
 use crate::state::GuestState;
 use std::collections::HashMap;
 
@@ -34,8 +47,9 @@ use std::collections::HashMap;
 pub const MAX_BLOCK_INSNS: usize = 128;
 
 /// Cache-size backstop: a full flush past this many blocks keeps the
-/// memory footprint bounded on pathological block-entry churn.
-const MAX_CACHED_BLOCKS: usize = 1 << 16;
+/// memory footprint bounded on pathological block-entry churn. Unit
+/// tests build with a small cap so the flush path runs.
+const MAX_CACHED_BLOCKS: usize = if cfg!(test) { 8 } else { 1 << 16 };
 
 /// One predecoded basic block: the `(instruction, encoded length)` run
 /// starting at its entry PC.
@@ -48,6 +62,11 @@ pub struct Block {
     /// short — by the size cap or because the next fetch faulted — and
     /// execution past it must re-enter the cache at the next PC.
     pub terminated: bool,
+    /// The two most recent successors entered after this block, as
+    /// `(entry pc, arena slot)`, newest first. Every link is a valid
+    /// `index` entry: a block starts out linked to itself, and the arena,
+    /// the index and the links are only ever cleared together.
+    links: [(u32, u32); 2],
 }
 
 /// Why a block replay stopped.
@@ -101,7 +120,12 @@ pub struct BlockRun {
 /// A decode cache keyed by block entry PC (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct DecodeCache {
-    blocks: HashMap<u32, Block>,
+    /// Block arena; `index` and the blocks' `links` hold slots into it.
+    blocks: Vec<Block>,
+    /// Entry PC → arena slot.
+    index: HashMap<u32, u32, U32BuildHasher>,
+    /// Slot of the block entered last, whose links the next entry checks.
+    last: Option<u32>,
     gen: u64,
 }
 
@@ -114,6 +138,8 @@ impl DecodeCache {
     /// Drops every cached block (e.g. alongside a code-cache flush).
     pub fn flush(&mut self) {
         self.blocks.clear();
+        self.index.clear();
+        self.last = None;
     }
 
     /// Number of blocks currently cached.
@@ -134,100 +160,136 @@ impl DecodeCache {
     /// Propagates the fetch fault if even the first instruction cannot be
     /// decoded (nothing is cached in that case).
     pub fn block(&mut self, mem: &mut GuestMem, pc: u32) -> Result<&Block, Fault> {
+        let slot = self.enter(mem, pc)?;
+        Ok(&self.blocks[slot])
+    }
+
+    /// Arena slot of the block entered at `pc` (see [`DecodeCache::block`]).
+    /// Tries the previous block's successor links first and the index
+    /// only on a link miss; the block found becomes the previous block.
+    #[inline]
+    fn enter(&mut self, mem: &mut GuestMem, pc: u32) -> Result<usize, Fault> {
         if mem.code_gen() != self.gen {
-            self.blocks.clear();
+            self.flush();
             self.gen = mem.code_gen();
         }
-        if !self.blocks.contains_key(&pc) {
-            let b = Self::decode_block(mem, pc)?;
-            if self.blocks.len() >= MAX_CACHED_BLOCKS {
-                self.blocks.clear();
+        if let Some(last) = self.last {
+            let links = &mut self.blocks[last as usize].links;
+            if links[1].0 == pc {
+                links.swap(0, 1);
             }
-            self.blocks.insert(pc, b);
+            if links[0].0 == pc {
+                let slot = links[0].1;
+                self.last = Some(slot);
+                return Ok(slot as usize);
+            }
         }
-        Ok(&self.blocks[&pc])
+        let slot = match self.index.get(&pc) {
+            Some(&s) => s,
+            None => {
+                if self.blocks.len() >= MAX_CACHED_BLOCKS {
+                    self.flush();
+                }
+                let s = self.blocks.len() as u32;
+                self.blocks.push(Self::decode_block(mem, pc, s)?);
+                self.index.insert(pc, s);
+                s
+            }
+        };
+        if let Some(last) = self.last {
+            let links = &mut self.blocks[last as usize].links;
+            *links = [(pc, slot), links[0]];
+        }
+        self.last = Some(slot);
+        Ok(slot as usize)
     }
 
     /// Replays (up to) one predecoded basic block entered at `st.eip`,
     /// retiring at most `budget` instructions. A `REP` string instruction
     /// re-executes in place, each element retiring once.
     ///
-    /// The budget is checked first, so the replay stops *before* `syscall`
-    /// or `halt` only with budget left to retire them; it never executes
-    /// either, leaving the caller to run the synchronization protocol. On
-    /// a fault the state is unchanged and `EIP` points at the faulting
-    /// instruction. A block cut short at predecode because the next fetch
-    /// faulted stops with [`BlockStop::Budget`]; the next call re-enters
-    /// at that PC and reports the fault with `insns == 0`.
+    /// The replay stops *before* `syscall` or `halt` only with budget left
+    /// to retire them; it never executes either, leaving the caller to run
+    /// the synchronization protocol. On a fault the state is unchanged and
+    /// `EIP` points at the faulting instruction. A block cut short at
+    /// predecode because the next fetch faulted stops with
+    /// [`BlockStop::Budget`]; the next call re-enters at that PC and
+    /// reports the fault with `insns == 0`.
     pub fn run(&mut self, st: &mut GuestState, budget: u64) -> BlockRun {
         let entry_pc = st.eip;
         let stopped = |insns, stop| BlockRun { entry_pc, insns, stop, jcc: None };
         if budget == 0 {
             return stopped(0, BlockStop::Budget);
         }
-        let block = match self.block(&mut st.mem, entry_pc) {
-            Ok(b) => b,
+        let block = match self.enter(&mut st.mem, entry_pc) {
+            Ok(slot) => &self.blocks[slot],
             Err(f) => return stopped(0, f.into()),
         };
         let gen0 = st.mem.code_gen();
+        let n = block.insns.len();
+        // Without `REP`, instruction `i` is the `i + 1`-th to retire, so
+        // the budget is a bound on the index and the loop tests no budget
+        // of its own. Each extra `REP` element retires in place and moves
+        // the bound down by one.
+        let mut end = budget.min(n as u64) as usize;
         let mut insns = 0u64;
-        // `st.eip == pc` on every iteration: `exec_insn` leaves EIP alone.
         let mut pc = entry_pc;
-        for &(ref insn, len) in &block.insns {
-            loop {
-                if insns >= budget {
-                    return stopped(insns, BlockStop::Budget);
+        let mut i = 0;
+        while i < end {
+            let (ref insn, len) = block.insns[i];
+            let next = match exec_insn(st, insn, pc, len) {
+                Ok(next) => next,
+                Err(f) => {
+                    st.eip = pc;
+                    return stopped(insns, f.into());
                 }
-                match insn {
-                    Insn::Syscall => return stopped(insns, BlockStop::Syscall),
-                    Insn::Halt => return stopped(insns, BlockStop::Halt),
-                    _ => {}
+            };
+            match next {
+                Next::Seq => {
+                    insns += 1;
+                    pc = pc.wrapping_add(len);
+                    i += 1;
                 }
-                let next = match exec_insn(st, insn, pc, len) {
-                    Ok(next) => next,
-                    Err(f) => return stopped(insns, f.into()),
-                };
-                insns += 1;
-                let fall = pc.wrapping_add(len);
-                let end = |taken| {
-                    let jcc = match *insn {
-                        Insn::Jcc { rel, .. } => Some((fall.wrapping_add(rel as u32), fall, taken)),
-                        _ => None,
-                    };
-                    BlockRun { entry_pc, insns, stop: BlockStop::End, jcc }
-                };
-                match next {
-                    Next::RepContinue => {} // re-execute in place: EIP stays
-                    Next::Seq if insn.ends_block() => {
-                        st.eip = fall;
-                        return end(false); // not-taken conditional branch
-                    }
-                    Next::Seq => st.eip = fall,
-                    Next::Jump(t) => {
-                        st.eip = t;
-                        return end(true);
-                    }
-                    Next::Syscall | Next::Halt => {
-                        unreachable!("syscall/halt are intercepted before execution")
-                    }
+                Next::Jump(t) => {
+                    st.eip = t;
+                    let jcc = jcc_edge(insn, pc.wrapping_add(len), true);
+                    return BlockRun { entry_pc, insns: insns + 1, stop: BlockStop::End, jcc };
                 }
-                // A store may have overwritten this very block: stop so the
-                // next entry re-decodes.
-                if st.mem.code_gen() != gen0 {
-                    return stopped(insns, BlockStop::Budget);
+                Next::RepContinue => {
+                    insns += 1;
+                    end = end.min(i + (budget - insns).min(n as u64) as usize);
                 }
-                if matches!(next, Next::Seq) {
-                    pc = fall;
-                    break;
+                // Only a block's last instruction can be a syscall or
+                // `halt`, and `exec_insn` changes nothing for either.
+                Next::Syscall => {
+                    st.eip = pc;
+                    return stopped(insns, BlockStop::Syscall);
+                }
+                Next::Halt => {
+                    st.eip = pc;
+                    return stopped(insns, BlockStop::Halt);
                 }
             }
+            // A store may have overwritten this very block: stop so the
+            // next entry re-decodes.
+            if st.mem.code_gen() != gen0 {
+                st.eip = pc;
+                return stopped(insns, BlockStop::Budget);
+            }
         }
-        // Cut short at predecode (size cap or faulting tail): the next
-        // call re-enters the cache at `EIP`.
+        st.eip = pc;
+        if i == n && block.terminated {
+            // The terminator fell through: a conditional branch not taken.
+            let jcc = jcc_edge(&block.insns[n - 1].0, pc, false);
+            return BlockRun { entry_pc, insns, stop: BlockStop::End, jcc };
+        }
+        // Budget exhausted, or cut short at predecode (size cap or
+        // faulting tail): the next call re-enters the cache at `EIP`.
         stopped(insns, BlockStop::Budget)
     }
 
-    fn decode_block(mem: &mut GuestMem, entry: u32) -> Result<Block, Fault> {
+    /// Decodes the block entered at `entry`, to live in arena `slot`.
+    fn decode_block(mem: &mut GuestMem, entry: u32, slot: u32) -> Result<Block, Fault> {
         let mut insns = Vec::new();
         let mut pc = entry;
         let mut terminated = false;
@@ -267,7 +329,16 @@ impl DecodeCache {
             }
             p = p.wrapping_add(1);
         }
-        Ok(Block { insns, terminated })
+        Ok(Block { insns, terminated, links: [(entry, slot); 2] })
+    }
+}
+
+/// The edge-profile record of a block ending in `insn`: `(taken target,
+/// fallthrough, taken?)` for a conditional branch, `None` otherwise.
+fn jcc_edge(insn: &Insn, fall: u32, taken: bool) -> Option<(u32, u32, bool)> {
+    match *insn {
+        Insn::Jcc { rel, .. } => Some((fall.wrapping_add(rel as u32), fall, taken)),
+        _ => None,
     }
 }
 
@@ -331,6 +402,86 @@ mod tests {
         let b = dc.block(&mut mem, DEFAULT_CODE_BASE).unwrap();
         assert_eq!(b.insns.len(), 1, "stale block was re-decoded");
         assert!(matches!(b.insns[0].0, Insn::Halt));
+    }
+
+    /// Panics unless every successor link and the last-entered slot name
+    /// a live arena slot that the index agrees with.
+    fn assert_links_valid(dc: &DecodeCache) {
+        assert_eq!(dc.index.len(), dc.blocks.len());
+        for b in &dc.blocks {
+            for &(pc, slot) in &b.links {
+                assert_eq!(dc.index.get(&pc), Some(&slot), "stale link to {pc:#x}");
+            }
+        }
+        if let Some(last) = dc.last {
+            assert!((last as usize) < dc.blocks.len(), "stale last-entered slot");
+        }
+    }
+
+    #[test]
+    fn successor_link_does_not_survive_a_rewrite_of_its_target() {
+        let mut dec = Vec::new();
+        crate::encode(&Insn::Unary { op: crate::insn::UnaryOp::Dec, dst: Gpr::Eax }, &mut dec);
+        let mut c_addr = 0;
+        let mut st = boot(|a| {
+            let top = a.here();
+            a.inc(Gpr::Ebx); // block B
+            let c = a.label();
+            a.jmp_to(c);
+            while a.addr() < DEFAULT_CODE_BASE + crate::PAGE_SIZE {
+                a.nop();
+            }
+            a.bind(c);
+            c_addr = a.addr();
+            a.inc(Gpr::Eax); // block C, on the next code page
+            a.jmp_to(top);
+        });
+        assert_ne!(GuestMem::page_of(c_addr), GuestMem::page_of(DEFAULT_CODE_BASE));
+        let mut dc = DecodeCache::new();
+        for _ in 0..4 {
+            assert_eq!(dc.run(&mut st, u64::MAX).stop, BlockStop::End); // B, C, B, C
+        }
+        assert_eq!(st.gpr(Gpr::Eax), 2);
+        let (b, c) = (dc.index[&DEFAULT_CODE_BASE], dc.index[&c_addr]);
+        assert!(dc.blocks[b as usize].links.contains(&(c_addr, c)), "B links to C");
+        // Rewrite C's `inc eax` (C's page only) to `dec eax`.
+        st.mem.write(c_addr, &dec).unwrap();
+        assert_eq!(dc.run(&mut st, u64::MAX).stop, BlockStop::End); // B
+        assert_links_valid(&dc);
+        assert_eq!(dc.run(&mut st, u64::MAX).stop, BlockStop::End); // C, re-decoded
+        assert_links_valid(&dc);
+        assert_eq!(st.gpr(Gpr::Eax), 1, "the rewritten dec ran, not the stale inc");
+    }
+
+    #[test]
+    fn cap_flush_drops_every_link() {
+        // A ring of more blocks than the (test-build) cap.
+        let ring = MAX_CACHED_BLOCKS + 3;
+        let mut st = boot(|a| {
+            let top = a.here();
+            for _ in 0..ring - 1 {
+                a.inc(Gpr::Eax);
+                let next = a.label();
+                a.jmp_to(next);
+                a.bind(next);
+            }
+            a.inc(Gpr::Eax);
+            a.jmp_to(top);
+        });
+        let mut dc = DecodeCache::new();
+        let mut flushes = 0;
+        for _ in 0..3 * ring {
+            let before = dc.len();
+            assert_eq!(dc.run(&mut st, u64::MAX).stop, BlockStop::End);
+            assert!(dc.len() <= MAX_CACHED_BLOCKS);
+            if dc.len() < before {
+                flushes += 1;
+                assert_eq!(dc.len(), 1, "the flush emptied the arena first");
+            }
+            assert_links_valid(&dc);
+        }
+        assert!(flushes >= 3, "{flushes} flushes");
+        assert_eq!(st.gpr(Gpr::Eax), 3 * ring as u32);
     }
 
     #[test]

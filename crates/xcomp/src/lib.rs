@@ -19,7 +19,10 @@
 //! component adds only the OS side of each stop: a syscall retires
 //! through [`XComponent::exec_syscall`], `halt` ends the application, a
 //! page fault demand-maps a zero page and re-enters, and any other fault
-//! is an [`XcompError::GuestFault`].
+//! is an [`XcompError::GuestFault`]. Catch-up is the bulk of a validated
+//! run's wall time, so its speed is the replay's: blocks are entered
+//! through successor links rather than a hash lookup, and guest loads and
+//! stores that stay in one page are fixed-size copies (DESIGN.md §7).
 
 pub mod os;
 pub mod process;

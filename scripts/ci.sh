@@ -11,7 +11,10 @@
 #   semantic — darco-lint --semantic (symbolic translation validation)
 #            over every workload on both backends, plus a verify_overhead
 #            run at 1/64 whose BENCH_verify.json the bench gates check
-#   speed  — one tiny benchmark run as a smoke test of the speed harness
+#   speed  — one tiny benchmark run as a smoke test of the speed harness,
+#            plus the hot-path equivalence tests built in release: the
+#            test stage builds at opt-level 1, but the inlined block
+#            replay and memory accessors ship at release optimization
 #   trace  — darco-run/darco-lint trace + flight exporters, validated with
 #            the repo's own JSON reader (darco-trace-check)
 #   bench gates — bench_gate over every committed BENCH_*.json and the
@@ -105,8 +108,9 @@ verify_bin="$PWD/target/release/verify_overhead"
 (cd "$smoke_dir" && "$verify_bin" --scale 1/64 > /dev/null)
 stage_done
 
-stage "speed smoke (tiny scale)"
+stage "speed smoke (tiny scale + release hot-path equivalence)"
 ./target/release/speed --scale 1/512
+cargo test --release -q --test hotpath_equivalence
 stage_done
 
 # The exporters must produce artifacts the repo's own JSON reader accepts:
