@@ -29,7 +29,7 @@
 //! entered into the write TLB, so every write to one takes the slow path
 //! and bumps the generation exactly once per page it touches. The
 //! code-page set is probed on every write-TLB refill and by the host
-//! backends' self-modification checks, so it hashes with `U32Hasher`
+//! backends' self-modification checks, so it hashes with `IntHasher`
 //! rather than SipHash.
 
 use std::cell::Cell;
@@ -47,23 +47,29 @@ const TLB_MASK: u32 = TLB_ENTRIES as u32 - 1;
 /// An invalid TLB entry (tag half is zero; tags store `page + 1`).
 const TLB_INVALID: u64 = 0;
 
-/// A multiplicative hasher for the `u32` keys of the hot guest tables
-/// (page numbers here, block entry PCs in
-/// [`DecodeCache`](crate::predecode::DecodeCache)). The simulator picks
-/// these keys itself, so SipHash's flooding resistance buys nothing here,
-/// and SipHash took about a tenth of engine time in a native run.
+/// A multiplicative hasher for the integer keys of the simulator's hot
+/// tables (page numbers here, block entry PCs in
+/// [`DecodeCache`](crate::predecode::DecodeCache), the timing models'
+/// block pcs and cycle numbers). The simulator picks these keys itself,
+/// so SipHash's flooding resistance buys nothing here, and SipHash took
+/// about a tenth of engine time in a native run.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct U32Hasher(u64);
+pub struct IntHasher(u64);
 
-impl Hasher for U32Hasher {
+impl Hasher for IntHasher {
     #[inline]
     fn write_u32(&mut self, k: u32) {
-        self.0 = (self.0 ^ k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.write_u64(k as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, k: u64) {
+        self.0 = (self.0 ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.write_u32(b as u32);
+            self.write_u64(b as u64);
         }
     }
 
@@ -75,8 +81,8 @@ impl Hasher for U32Hasher {
     }
 }
 
-/// `BuildHasher` for [`U32Hasher`] maps and sets.
-pub(crate) type U32BuildHasher = BuildHasherDefault<U32Hasher>;
+/// `BuildHasher` for [`IntHasher`] maps and sets.
+pub type IntBuildHasher = BuildHasherDefault<IntHasher>;
 
 /// A memory access fault: the referenced page is not mapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +110,7 @@ pub struct GuestMem {
     read_tlb: [Cell<u64>; TLB_ENTRIES],
     write_tlb: [Cell<u64>; TLB_ENTRIES],
     /// Pages containing predecoded instructions (see module docs).
-    code_pages: HashSet<u32, U32BuildHasher>,
+    code_pages: HashSet<u32, IntBuildHasher>,
     code_gen: u64,
 }
 
@@ -575,7 +581,7 @@ impl GuestMem {
             page_map.insert(num, slots.len() as u32);
             slots.push(data);
         }
-        let code_pages: HashSet<u32, U32BuildHasher> = r.get_u32s()?.into_iter().collect();
+        let code_pages: HashSet<u32, IntBuildHasher> = r.get_u32s()?.into_iter().collect();
         let code_gen = r.get_u64()?;
         self.page_map = page_map;
         self.slots = slots;

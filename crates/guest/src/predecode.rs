@@ -17,7 +17,7 @@
 //! ## Dispatch without hashing
 //!
 //! Blocks live in an arena, with one PC → slot index (hashed by
-//! `mem::U32Hasher`). Each block caches its two most recent
+//! `mem::IntHasher`). Each block caches its two most recent
 //! successors as `(pc, slot)` links, and the cache remembers the block it
 //! entered last, so entering the next block usually compares two PCs
 //! instead of hashing; the index is probed once, on a link miss. Inside a
@@ -37,7 +37,7 @@
 
 use crate::exec::{exec_insn, fetch, Fault, Next};
 use crate::insn::Insn;
-use crate::mem::{GuestMem, U32BuildHasher, PAGE_SHIFT};
+use crate::mem::{GuestMem, IntBuildHasher, PAGE_SHIFT};
 use crate::state::GuestState;
 use std::collections::HashMap;
 
@@ -123,7 +123,7 @@ pub struct DecodeCache {
     /// Block arena; `index` and the blocks' `links` hold slots into it.
     blocks: Vec<Block>,
     /// Entry PC → arena slot.
-    index: HashMap<u32, u32, U32BuildHasher>,
+    index: HashMap<u32, u32, IntBuildHasher>,
     /// Slot of the block entered last, whose links the next entry checks.
     last: Option<u32>,
     gen: u64,

@@ -112,20 +112,18 @@ impl TimingStats {
     }
 }
 
-/// Rolling per-cycle resource usage for monotonic (in-order) issue.
+/// Rolling per-cycle resource usage for monotonic (in-order) issue:
+/// instructions issued this cycle, then one count per [`Class`] (simple,
+/// complex and FP units, memory read and write ports), indexed by the
+/// class so the issue check needs no branch per class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Usage {
-    pub(crate) issued: u32,
-    pub(crate) simple: u32,
-    pub(crate) complex: u32,
-    pub(crate) fp: u32,
-    pub(crate) rports: u32,
-    pub(crate) wports: u32,
-}
+pub(crate) struct Usage(pub(crate) [u32; 6]);
 
+/// Functional-unit class; the value is its slot in [`Usage`] (slot 0
+/// counts every issued instruction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Class {
-    Simple,
+    Simple = 1,
     Complex,
     Fp,
     Load,
@@ -152,6 +150,9 @@ pub struct InOrderCore {
     pub(crate) scoreboard: [u64; 128],
     pub(crate) cur_cycle: u64,
     pub(crate) usage: Usage,
+    /// Per-cycle limits for each [`Usage`] slot: issue width, then the
+    /// unit and port counts of the configuration.
+    limits: [u32; 6],
     pub(crate) last_complete: u64,
     // structures
     pub(crate) gshare: Gshare,
@@ -188,6 +189,14 @@ impl InOrderCore {
             scoreboard: [0; 128],
             cur_cycle: 0,
             usage: Usage::default(),
+            limits: [
+                cfg.issue_width,
+                cfg.simple_units,
+                cfg.complex_units,
+                cfg.fp_units,
+                cfg.mem_read_ports,
+                cfg.mem_write_ports,
+            ],
             last_complete: 0,
             gshare: Gshare::new(cfg.gshare_bits),
             btb: Btb::new(cfg.btb_entries),
@@ -257,14 +266,7 @@ impl InOrderCore {
             w.put_u64(s);
         }
         w.put_u64(self.cur_cycle);
-        for v in [
-            self.usage.issued,
-            self.usage.simple,
-            self.usage.complex,
-            self.usage.fp,
-            self.usage.rports,
-            self.usage.wports,
-        ] {
+        for v in self.usage.0 {
             w.put_u32(v);
         }
         w.put_u64(self.last_complete);
@@ -325,12 +327,9 @@ impl InOrderCore {
             *s = r.get_u64()?;
         }
         self.cur_cycle = r.get_u64()?;
-        self.usage.issued = r.get_u32()?;
-        self.usage.simple = r.get_u32()?;
-        self.usage.complex = r.get_u32()?;
-        self.usage.fp = r.get_u32()?;
-        self.usage.rports = r.get_u32()?;
-        self.usage.wports = r.get_u32()?;
+        for v in &mut self.usage.0 {
+            *v = r.get_u32()?;
+        }
         self.last_complete = r.get_u64()?;
         self.gshare.restore_from(r)?;
         self.btb.restore_from(r)?;
@@ -353,20 +352,18 @@ impl InOrderCore {
         Ok(())
     }
 
-    pub(crate) fn classify(kind: &EventKind) -> (Class, u32) {
+    #[inline]
+    pub(crate) fn classify(kind: &EventKind) -> Class {
         match kind {
-            EventKind::IntAlu | EventKind::Branch { .. } | EventKind::Other => (Class::Simple, 1),
-            EventKind::IntMul => (Class::Complex, 0), // latency filled by caller
-            EventKind::IntDiv => (Class::Complex, 0),
-            EventKind::FpAdd => (Class::Fp, 0),
-            EventKind::FpMul => (Class::Fp, 0),
-            EventKind::FpDiv => (Class::Fp, 0),
-            EventKind::FpSqrt => (Class::Fp, 0),
-            EventKind::Load { .. } => (Class::Load, 0),
-            EventKind::Store { .. } => (Class::Store, 1),
+            EventKind::IntAlu | EventKind::Branch { .. } | EventKind::Other => Class::Simple,
+            EventKind::IntMul | EventKind::IntDiv => Class::Complex,
+            EventKind::FpAdd | EventKind::FpMul | EventKind::FpDiv | EventKind::FpSqrt => Class::Fp,
+            EventKind::Load { .. } => Class::Load,
+            EventKind::Store { .. } => Class::Store,
         }
     }
 
+    #[inline]
     pub(crate) fn latency_of(&self, kind: &EventKind) -> u32 {
         match kind {
             EventKind::IntMul => self.cfg.lat_mul,
@@ -381,6 +378,7 @@ impl InOrderCore {
 
     /// Data-side memory access latency (D-TLB + D-cache hierarchy +
     /// prefetch training).
+    #[inline]
     fn mem_latency(&mut self, pc: u64, addr: u64, is_load: bool) -> u32 {
         let mut lat = self.dl1.latency;
         if !self.dtlb.access(addr) {
@@ -394,17 +392,19 @@ impl InOrderCore {
             lat += if self.l2.access(addr) { self.l2.latency } else { self.l2.latency + self.cfg.mem_latency };
         }
         if is_load && self.cfg.prefetch {
-            for p in self.prefetcher.train(pc, addr) {
+            let (dl1, l2) = (&mut self.dl1, &mut self.l2);
+            self.prefetcher.train(pc, addr, |p| {
                 // Prefetch fills both levels (next-line style).
-                if !self.dl1.fill(p) {
-                    self.l2.fill(p);
+                if !dl1.fill(p) {
+                    l2.fill(p);
                 }
-            }
+            });
         }
         lat
     }
 
     /// Instruction-side fetch latency for a new cache line.
+    #[inline]
     fn fetch_latency(&mut self, pc_bytes: u64) -> u32 {
         let mut lat = 0;
         if !self.itlb.access(pc_bytes) {
@@ -424,6 +424,22 @@ impl InOrderCore {
         lat
     }
 
+    /// Moves the IQ ring cursor one slot on, wrapping without a divide.
+    #[inline]
+    pub(crate) fn advance_iq(&mut self) {
+        self.iq_pos += 1;
+        if self.iq_pos == self.iq_ring.len() {
+            self.iq_pos = 0;
+        }
+    }
+
+    /// Ring index of the most recently issued instruction.
+    #[inline]
+    pub(crate) fn last_iq_pos(&self) -> usize {
+        self.iq_pos.checked_sub(1).unwrap_or(self.iq_ring.len() - 1)
+    }
+
+    /// Schedules one retired event through the whole pipeline model.
     pub(crate) fn consume(&mut self, ev: &RetireEvent) {
         let pc_bytes = ev.host_pc * 4;
 
@@ -436,7 +452,7 @@ impl InOrderCore {
             self.fe_cycle = self.redirect_until;
             self.fe_count = 0;
         }
-        let line = pc_bytes / self.cfg.il1.line as u64;
+        let line = self.il1.line_of(pc_bytes);
         if line != self.last_fetch_line {
             let extra = self.fetch_latency(pc_bytes);
             self.fe_cycle += extra as u64;
@@ -452,7 +468,7 @@ impl InOrderCore {
         let fetched = self.fe_cycle;
 
         // ---- issue ---------------------------------------------------------
-        let (class, _) = Self::classify(&ev.kind);
+        let class = Self::classify(&ev.kind) as usize;
         let mut ready = fetched + self.cfg.frontend_depth as u64;
         for s in ev.srcs.into_iter().flatten() {
             ready = ready.max(self.scoreboard[s as usize & 127]);
@@ -464,31 +480,17 @@ impl InOrderCore {
                 self.cur_cycle = cycle;
                 self.usage = Usage::default();
             }
-            let u = &self.usage;
-            let fits = u.issued < self.cfg.issue_width
-                && match class {
-                    Class::Simple => u.simple < self.cfg.simple_units,
-                    Class::Complex => u.complex < self.cfg.complex_units,
-                    Class::Fp => u.fp < self.cfg.fp_units,
-                    Class::Load => u.rports < self.cfg.mem_read_ports,
-                    Class::Store => u.wports < self.cfg.mem_write_ports,
-                };
-            if fits {
+            let u = &self.usage.0;
+            if u[0] < self.limits[0] && u[class] < self.limits[class] {
                 break;
             }
             cycle += 1;
         }
-        self.usage.issued += 1;
-        match class {
-            Class::Simple => self.usage.simple += 1,
-            Class::Complex => self.usage.complex += 1,
-            Class::Fp => self.usage.fp += 1,
-            Class::Load => self.usage.rports += 1,
-            Class::Store => self.usage.wports += 1,
-        }
+        self.usage.0[0] += 1;
+        self.usage.0[class] += 1;
         let issue = cycle;
         self.iq_ring[self.iq_pos] = issue;
-        self.iq_pos = (self.iq_pos + 1) % self.iq_ring.len();
+        self.advance_iq();
 
         // ---- execute -------------------------------------------------------
         let lat = match ev.kind {
@@ -547,6 +549,7 @@ impl InOrderCore {
 }
 
 impl InsnSink for InOrderCore {
+    #[inline]
     fn retire(&mut self, ev: &RetireEvent) {
         self.consume(ev);
     }

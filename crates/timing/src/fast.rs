@@ -2,22 +2,28 @@
 //!
 //! [`FastTimer`] wraps an [`InOrderCore`] and charges whole translated
 //! blocks in one step instead of scheduling every retired instruction.
-//! The first time a block shape is seen it is replayed through the full
-//! core while its per-event schedule (issue/complete cycles relative to
-//! the block entry) is recorded; if the replay was *clean* — every
-//! I/D-cache and TLB access hit, every branch predicted, no prefetches —
-//! the schedule is memoized, keyed by the block's entry pc plus a
-//! signature of the schedule-relevant entry state (front-end cursor, IQ
-//! ring, scoreboard, per-cycle resource usage).
+//! The first time a block shape is seen it is *learned*: it runs through
+//! the full core while its per-event schedule (issue/complete cycles
+//! relative to the block entry) is recorded into reused scratch buffers.
+//! If the run was *clean* — every I/D-cache and TLB access hit, every
+//! branch predicted, no prefetches — the schedule is copied out and
+//! memoized, keyed by the block's entry pc plus a signature of the
+//! schedule-relevant entry state (front-end cursor, IQ ring, scoreboard,
+//! per-cycle resource usage). The first unclean event ends the recording:
+//! the rest of the block goes through the core unrecorded, and nothing is
+//! allocated for it.
 //!
-//! On later occurrences with a matching signature the recorded schedule
-//! is *verified* event by event with pure model probes
+//! On later occurrences the live entry state is compared with each
+//! variant's signature in place, element by element, stopping at the
+//! first mismatch (no signature is built for the probe). With a match,
+//! the recorded schedule is *verified* event by event with pure model
+//! probes
 //! ([`CacheModel::peek_hit`](crate::cache::CacheModel::peek_hit),
 //! [`Gshare::peek_correct`](crate::bpred::Gshare::peek_correct), ...) and
 //! committed without re-running the scheduling loops. The moment any
 //! probe fails — a cache or TLB miss, a mispredict, a prefetcher about to
 //! fire — the fast path *escapes*: the remaining events drop into the
-//! full [`InOrderCore::consume`] with all model state exactly as the full
+//! full `InOrderCore::consume` with all model state exactly as the full
 //! simulation would have left it.
 //!
 //! Because probes are pure and commits are byte-equivalent to hitting
@@ -26,11 +32,18 @@
 //! `timing_mode=full` exactly. "Fast" buys back the per-event scheduling
 //! arithmetic, not accuracy — the headline speedups come from the SMARTS
 //! sampling campaign layered on top (see `darco_core::sampling`).
+//!
+//! Events that arrive one at a time through [`InsnSink::retire`] (the
+//! TOL-overhead stream the engine synthesizes) and incomplete blocks go
+//! straight to `InOrderCore::consume`; in timed runs they are most of
+//! the events, so the core's per-event path is kept cheap too (DESIGN.md
+//! §16).
 
 use std::collections::HashMap;
 
 use crate::config::TimingConfig;
 use crate::core::{InOrderCore, TimingStats, Usage};
+use darco_guest::mem::IntBuildHasher;
 use darco_host::sink::{EventKind, InsnSink, RetireEvent};
 
 /// Blocks longer than this are not memoized (replayed in full instead);
@@ -124,18 +137,33 @@ impl FastStats {
     }
 }
 
+/// Reused buffers of [`learn`]: a block's schedule is recorded here and
+/// copied into a [`Variant`] only when it turns out clean.
+#[derive(Debug, Default)]
+struct Scratch {
+    regs: Vec<u8>,
+    sig: Vec<i64>,
+    recs: Vec<EventRec>,
+}
+
 /// Block-memoizing timing sink; see the module docs.
 #[derive(Debug)]
 pub struct FastTimer {
     core: InOrderCore,
-    memo: HashMap<u64, BaseMemo>,
+    memo: HashMap<u64, BaseMemo, IntBuildHasher>,
     stats: FastStats,
+    scratch: Scratch,
 }
 
 impl FastTimer {
     /// Creates a fast timer over an in-order core with this configuration.
     pub fn new(cfg: TimingConfig) -> FastTimer {
-        FastTimer { core: InOrderCore::new(cfg), memo: HashMap::new(), stats: FastStats::default() }
+        FastTimer {
+            core: InOrderCore::new(cfg),
+            memo: HashMap::default(),
+            stats: FastStats::default(),
+            scratch: Scratch::default(),
+        }
     }
 
     /// Final timing statistics — identical to what `timing_mode=full`
@@ -217,40 +245,69 @@ fn fingerprint(ev: &RetireEvent) -> u32 {
     d | (r(ev.dst) << 8) | (r(ev.srcs[0]) << 16) | (r(ev.srcs[1]) << 24)
 }
 
-/// Computes the schedule-relevant entry-state signature, canonicalized
+/// Walks the schedule-relevant entry-state signature, canonicalized
 /// relative to the entry `cur_cycle` so the same block shape matches at
-/// any absolute cycle. Values that provably cannot influence the schedule
-/// (stale IQ gates, scoreboard entries below the dependence floor) are
-/// collapsed to [`SENT`].
-fn push_sig(core: &InOrderCore, regs: &[u8], n_events: usize, first_line: u64, sig: &mut Vec<i64>) {
+/// any absolute cycle, handing each element to `f` and stopping (with
+/// `false`) the moment `f` returns false. Values that provably cannot
+/// influence the schedule (stale IQ gates, scoreboard entries below the
+/// dependence floor) are collapsed to [`SENT`].
+fn sig_walk(
+    core: &InOrderCore,
+    regs: &[u8],
+    n_events: usize,
+    first_line: u64,
+    mut f: impl FnMut(i64) -> bool,
+) -> bool {
     let c0 = core.cur_cycle as i64;
-    sig.push(core.fe_cycle as i64 - c0);
-    sig.push(core.fe_count as i64);
-    sig.push((core.last_fetch_line == first_line) as i64);
-    // A redirect deadline already behind the front end can never clamp it.
-    sig.push(if core.redirect_until <= core.fe_cycle {
-        SENT
-    } else {
-        core.redirect_until as i64 - c0
-    });
-    let u = &core.usage;
-    for v in [u.issued, u.simple, u.complex, u.fp, u.rports, u.wports] {
-        sig.push(v as i64);
+    let head = [
+        core.fe_cycle as i64 - c0,
+        core.fe_count as i64,
+        (core.last_fetch_line == first_line) as i64,
+        // A redirect deadline already behind the front end can never
+        // clamp it.
+        if core.redirect_until <= core.fe_cycle { SENT } else { core.redirect_until as i64 - c0 },
+    ];
+    if !head.into_iter().chain(core.usage.0.map(i64::from)).all(&mut f) {
+        return false;
     }
-    // IQ gates read by the first min(n, iq) events; entries at or behind
-    // the front end never backpressure.
-    let len = core.iq_ring.len();
-    for k in 0..n_events.min(len) {
-        let e = core.iq_ring[(core.iq_pos + k) % len];
-        sig.push(if e <= core.fe_cycle { SENT } else { e as i64 - c0 });
+    // IQ gates read by the first min(n, iq) events, oldest slot first;
+    // entries at or behind the front end never backpressure.
+    let (wrapped, from_pos) = core.iq_ring.split_at(core.iq_pos);
+    let n_from_pos = n_events.min(from_pos.len());
+    let n_wrapped = (n_events - n_from_pos).min(wrapped.len());
+    let stale = |&e: &u64| if e <= core.fe_cycle { SENT } else { e as i64 - c0 };
+    if !from_pos[..n_from_pos].iter().all(|e| f(stale(e)))
+        || !wrapped[..n_wrapped].iter().all(|e| f(stale(e)))
+    {
+        return false;
     }
     // Scoreboard entries below max(fe+depth, cur) are dominated by the
     // fetch/issue floor and cannot lengthen any dependence.
     let floor = core.cur_cycle.max(core.fe_cycle + core.cfg.frontend_depth as u64);
-    for &r in regs {
+    regs.iter().all(|&r| {
         let s = core.scoreboard[r as usize & 127];
-        sig.push(if s <= floor { SENT } else { s as i64 - c0 });
-    }
+        f(if s <= floor { SENT } else { s as i64 - c0 })
+    })
+}
+
+/// Whether the live entry state matches `v`'s recorded signature —
+/// compared element by element in place, stopping at the first mismatch.
+fn sig_matches(core: &InOrderCore, v: &Variant) -> bool {
+    let mut want = v.sig.iter();
+    sig_walk(core, &v.regs, v.recs.len(), v.recs[0].line, |x| want.next() == Some(&x))
+        && want.next().is_none()
+}
+
+/// Sum of the counters a clean replay never moves: I/D-cache and TLB
+/// misses, mispredicts, BTB redirects and prefetches.
+fn unclean_count(core: &InOrderCore) -> u64 {
+    core.il1.misses
+        + core.dl1.misses
+        + core.itlb.misses
+        + core.dtlb.misses
+        + core.gshare.mispredicts
+        + core.btb.target_misses
+        + core.prefetcher.issued
 }
 
 /// Replays a memoized schedule against the live event stream. Returns how
@@ -322,8 +379,8 @@ fn replay(core: &mut InOrderCore, v: &Variant, events: &[RetireEvent]) -> usize 
                 core.dtlb.commit_hit(di);
                 core.dl1.commit_hit(ds, dw);
                 if core.cfg.prefetch {
-                    let fired = core.prefetcher.train(pc_bytes, addr as u64);
-                    debug_assert!(fired.is_empty(), "would_issue said quiet");
+                    core.prefetcher
+                        .train(pc_bytes, addr as u64, |_| debug_assert!(false, "would_issue said quiet"));
                 }
                 loads += 1;
             }
@@ -358,7 +415,7 @@ fn replay(core: &mut InOrderCore, v: &Variant, events: &[RetireEvent]) -> usize 
         // eagerly — an escape at a later event keeps these, exactly as the
         // full core would have written them.
         core.iq_ring[core.iq_pos] = c0 + rec.issue_rel;
-        core.iq_pos = (core.iq_pos + 1) % core.iq_ring.len();
+        core.advance_iq();
         let complete = c0 + rec.complete_rel;
         if let Some(d) = ev.dst {
             core.scoreboard[d as usize & 127] = complete;
@@ -391,37 +448,47 @@ fn replay(core: &mut InOrderCore, v: &Variant, events: &[RetireEvent]) -> usize 
     j
 }
 
-/// Runs the block through the full core while recording its schedule.
-/// Returns a memoizable variant only when the replay was clean: no cache,
-/// TLB or prediction misses and no prefetches, anywhere in the block.
-fn learn(core: &mut InOrderCore, events: &[RetireEvent]) -> Option<Variant> {
-    let mut regs: Vec<u8> = Vec::new();
+/// Runs the block through the full core while recording its schedule
+/// into `scratch`. Returns a memoizable variant only when the replay was
+/// clean: no cache, TLB or prediction misses and no prefetches, anywhere
+/// in the block. The first unclean event ends the recording — the rest of
+/// the block goes through the core unrecorded — and only a clean block
+/// allocates.
+fn learn(core: &mut InOrderCore, events: &[RetireEvent], scratch: &mut Scratch) -> Option<Variant> {
+    let Scratch { regs, sig, recs } = scratch;
+    regs.clear();
+    sig.clear();
+    recs.clear();
+    let mut seen = [0u64; 2];
     for ev in events {
         for s in ev.srcs.into_iter().flatten() {
-            if !regs.contains(&(s & 127)) {
-                regs.push(s & 127);
+            let r = s & 127;
+            let (word, bit) = (&mut seen[r as usize >> 6], 1u64 << (r & 63));
+            if *word & bit == 0 {
+                *word |= bit;
+                regs.push(r);
             }
         }
     }
-    let first_line = events[0].host_pc * 4 / core.cfg.il1.line as u64;
-    let mut sig = Vec::new();
-    push_sig(core, &regs, events.len(), first_line, &mut sig);
+    let first_line = core.il1.line_of(events[0].host_pc * 4);
+    sig_walk(core, regs, events.len(), first_line, |x| {
+        sig.push(x);
+        true
+    });
 
-    let clean_before = core.il1.misses
-        + core.dl1.misses
-        + core.itlb.misses
-        + core.dtlb.misses
-        + core.gshare.mispredicts
-        + core.btb.target_misses
-        + core.prefetcher.issued;
+    let clean = unclean_count(core);
     let c0 = core.cur_cycle;
-    let mut recs = Vec::with_capacity(events.len());
-    for ev in events {
-        let line = ev.host_pc * 4 / core.cfg.il1.line as u64;
+    for (i, ev) in events.iter().enumerate() {
+        let line = core.il1.line_of(ev.host_pc * 4);
         let line_changed = line != core.last_fetch_line;
         core.consume(ev);
-        let len = core.iq_ring.len();
-        let issue = core.iq_ring[(core.iq_pos + len - 1) % len];
+        if unclean_count(core) != clean {
+            for ev in &events[i + 1..] {
+                core.consume(ev);
+            }
+            return None;
+        }
+        let issue = core.iq_ring[core.last_iq_pos()];
         let complete = match ev.dst {
             Some(d) => core.scoreboard[d as usize & 127],
             None => {
@@ -446,17 +513,11 @@ fn learn(core: &mut InOrderCore, events: &[RetireEvent]) -> Option<Variant> {
             usage_after: core.usage,
         });
     }
-    let clean_after = core.il1.misses
-        + core.dl1.misses
-        + core.itlb.misses
-        + core.dtlb.misses
-        + core.gshare.mispredicts
-        + core.btb.target_misses
-        + core.prefetcher.issued;
-    (clean_after == clean_before).then_some(Variant { sig, regs, recs, streak: 0 })
+    Some(Variant { sig: sig.clone(), regs: regs.clone(), recs: recs.clone(), streak: 0 })
 }
 
 impl InsnSink for FastTimer {
+    #[inline]
     fn retire(&mut self, ev: &RetireEvent) {
         self.core.consume(ev);
     }
@@ -466,7 +527,7 @@ impl InsnSink for FastTimer {
     }
 
     fn retire_block(&mut self, events: &[RetireEvent], complete: bool) {
-        let FastTimer { core, memo, stats } = self;
+        let FastTimer { core, memo, stats, scratch } = self;
         if events.is_empty() {
             return;
         }
@@ -480,17 +541,7 @@ impl InsnSink for FastTimer {
         }
         let base = events[0].host_pc;
         if let Some(bm) = memo.get_mut(&base) {
-            let mut sig = Vec::new();
-            let mut chosen = None;
-            for (vi, v) in bm.variants.iter().enumerate() {
-                sig.clear();
-                push_sig(core, &v.regs, v.recs.len(), v.recs[0].line, &mut sig);
-                if sig == v.sig {
-                    chosen = Some(vi);
-                    break;
-                }
-            }
-            if let Some(vi) = chosen {
+            if let Some(vi) = bm.variants.iter().position(|v| sig_matches(core, v)) {
                 let v = &mut bm.variants[vi];
                 let j = replay(core, v, events);
                 stats.memo_events += j as u64;
@@ -513,7 +564,7 @@ impl InsnSink for FastTimer {
             }
         }
         // Unknown shape (or unseen entry state): learn it.
-        match learn(core, events) {
+        match learn(core, events, scratch) {
             Some(v) => {
                 if memo.len() >= MAX_BASES && !memo.contains_key(&base) {
                     memo.clear();

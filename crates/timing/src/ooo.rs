@@ -12,6 +12,7 @@ use crate::cache::{CacheModel, TlbModel};
 use crate::config::TimingConfig;
 use crate::core::TimingStats;
 use crate::prefetch::StridePrefetcher;
+use darco_guest::mem::IntBuildHasher;
 use darco_host::sink::{EventKind, InsnSink, RetireEvent};
 use std::collections::HashMap;
 
@@ -27,7 +28,9 @@ pub struct OooCore {
     rob_pos: usize,
     last_retire: u64,
     scoreboard: [u64; 128],
-    usage: HashMap<u64, (u32, u32, u32, u32, u32, u32)>, // per-cycle counters
+    /// Per-cycle counters. Only ever read by key or in sorted key order,
+    /// so the hasher cannot reach the results.
+    usage: HashMap<u64, (u32, u32, u32, u32, u32, u32), IntBuildHasher>,
     usage_floor: u64,
     last_complete: u64,
     gshare: Gshare,
@@ -62,7 +65,7 @@ impl OooCore {
             rob_pos: 0,
             last_retire: 0,
             scoreboard: [0; 128],
-            usage: HashMap::new(),
+            usage: HashMap::default(),
             usage_floor: 0,
             last_complete: 0,
             gshare: Gshare::new(cfg.gshare_bits),
@@ -239,6 +242,7 @@ impl OooCore {
         Ok(())
     }
 
+    #[inline]
     fn mem_latency(&mut self, pc: u64, addr: u64, is_load: bool) -> u32 {
         let mut lat = self.dl1.latency;
         if !self.dtlb.access(addr) {
@@ -256,11 +260,12 @@ impl OooCore {
             };
         }
         if is_load && self.cfg.prefetch {
-            for p in self.prefetcher.train(pc, addr) {
-                if !self.dl1.fill(p) {
-                    self.l2.fill(p);
+            let (dl1, l2) = (&mut self.dl1, &mut self.l2);
+            self.prefetcher.train(pc, addr, |p| {
+                if !dl1.fill(p) {
+                    l2.fill(p);
                 }
-            }
+            });
         }
         lat
     }
@@ -276,7 +281,7 @@ impl OooCore {
             self.fe_cycle = self.redirect_until;
             self.fe_count = 0;
         }
-        let line = pc_bytes / self.cfg.il1.line as u64;
+        let line = self.il1.line_of(pc_bytes);
         if line != self.last_fetch_line {
             let mut extra = 0;
             if !self.itlb.access(pc_bytes) {
@@ -397,7 +402,10 @@ impl OooCore {
         let retire = complete.max(self.last_retire);
         self.last_retire = retire;
         self.rob_ring[self.rob_pos] = retire;
-        self.rob_pos = (self.rob_pos + 1) % self.rob_ring.len();
+        self.rob_pos += 1;
+        if self.rob_pos == self.rob_ring.len() {
+            self.rob_pos = 0;
+        }
 
         // Branch resolution at completion.
         if let EventKind::Branch { taken, target, cond } = ev.kind {
@@ -431,6 +439,7 @@ impl OooCore {
 }
 
 impl InsnSink for OooCore {
+    #[inline]
     fn retire(&mut self, ev: &RetireEvent) {
         self.consume(ev);
     }

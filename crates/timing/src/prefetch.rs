@@ -1,5 +1,9 @@
 //! Stride data prefetcher (paper §V-C: "two level TLB and cache
 //! hierarchies with a stride data prefetcher").
+//!
+//! Training runs on every load the timing models see, so it hands the
+//! addresses it issues to a callback instead of returning a list: the
+//! common case issues nothing, and no case allocates.
 
 /// PC-indexed stride prefetcher with 2-bit confidence.
 #[derive(Debug, Clone)]
@@ -25,11 +29,11 @@ impl StridePrefetcher {
         StridePrefetcher { table: vec![Entry::default(); 256], mask: 255, degree, issued: 0 }
     }
 
-    /// Trains on a load at `pc` touching `addr`; returns the addresses to
-    /// prefetch (empty while confidence is low).
-    pub fn train(&mut self, pc: u64, addr: u64) -> Vec<u64> {
+    /// Trains on a load at `pc` touching `addr`; calls `issue` with each
+    /// address to prefetch, in order (none while confidence is low).
+    #[inline]
+    pub fn train(&mut self, pc: u64, addr: u64, mut issue: impl FnMut(u64)) {
         let e = &mut self.table[(pc & self.mask) as usize];
-        let mut out = Vec::new();
         if e.tag == pc {
             let stride = addr as i64 - e.last_addr as i64;
             if stride == e.stride && stride != 0 {
@@ -42,8 +46,8 @@ impl StridePrefetcher {
                 for k in 1..=self.degree as i64 {
                     let p = addr as i64 + e.stride * k;
                     if p > 0 {
-                        out.push(p as u64);
                         self.issued += 1;
+                        issue(p as u64);
                     }
                 }
             }
@@ -52,13 +56,12 @@ impl StridePrefetcher {
         }
         e.last_addr = addr;
         e.tag = pc;
-        out
     }
 
     /// Pure probe: would training on `(pc, addr)` issue any prefetches?
     /// No state is touched. When this returns false, a subsequent
-    /// [`StridePrefetcher::train`] call is guaranteed to return an empty
-    /// list (and is the way to commit the training update).
+    /// [`StridePrefetcher::train`] call is guaranteed to issue nothing
+    /// (and is the way to commit the training update).
     pub fn would_issue(&self, pc: u64, addr: u64) -> bool {
         let e = self.table[(pc & self.mask) as usize];
         if e.tag != pc {
@@ -122,7 +125,8 @@ mod tests {
         let mut p = StridePrefetcher::new(2);
         let mut got = Vec::new();
         for i in 0..8u64 {
-            got = p.train(0x10, 0x1000 + i * 64);
+            got.clear();
+            p.train(0x10, 0x1000 + i * 64, |a| got.push(a));
         }
         assert_eq!(got.len(), 2);
         assert_eq!(got[0], 0x1000 + 8 * 64);
@@ -139,7 +143,8 @@ mod tests {
             // Mix of strided and erratic access patterns per pc.
             let addr = if pc.is_multiple_of(2) { 0x1000 + i * 64 } else { x % (1 << 20) };
             let predicted = p.would_issue(pc, addr);
-            let issued = !p.train(pc, addr).is_empty();
+            let mut issued = false;
+            p.train(pc, addr, |_| issued = true);
             assert_eq!(predicted, issued, "at step {i} pc {pc}");
         }
         assert!(p.issued > 0, "the strided half must have issued prefetches");
@@ -151,7 +156,7 @@ mod tests {
         let addrs = [0x100u64, 0x9000, 0x44, 0x7777, 0x2100, 0x80];
         let mut total = 0;
         for (i, a) in addrs.iter().cycle().take(60).enumerate() {
-            total += p.train(0x20, a + i as u64).len();
+            p.train(0x20, a + i as u64, |_| total += 1);
         }
         assert_eq!(total, 0, "no stable stride, no prefetches");
     }

@@ -41,7 +41,9 @@
 #            of the recorded stream
 #   timing — two-speed timing gate: the accelerated (block-memoizing)
 #            path must match the detailed model bit-for-bit on whole
-#            runs; sampling artifacts must be byte-identical at any --jobs
+#            runs (every timing statistic, on block-heavy and on
+#            TOL-overhead-heavy streams); sampling artifacts must be
+#            byte-identical at any --jobs
 #   fuzz   — darco-fuzz smoke: a clean seeded campaign must find zero
 #            divergences, grow coverage past the seed corpus and be
 #            byte-deterministic across worker counts; a campaign with an
@@ -305,20 +307,29 @@ stage_done
 
 # Two-speed timing + checkpoint sampling (DESIGN.md §16). Two gates:
 # (1) the accelerated timing path must reproduce the detailed in-order
-# model's cycle count bit-for-bit over whole runs while actually
-# memoizing (the escape hatch alone would pass trivially); (2) the
+# model bit-for-bit over whole runs -- the whole `timing` object of
+# `darco-run --json` and every `timing.*` metric, not only the cycle
+# count -- while actually memoizing (the escape hatch alone would pass
+# trivially). The three runs cover the routes events take through the
+# fast timer: quicksort and 429.mcf are mostly translated blocks (memo
+# replays, learns, escapes); breakable at 1/4 is ~63% synthesized TOL
+# overhead, which reaches the model one event at a time. (2) the
 # sampling campaign's deterministic artifact may not depend on the
 # worker count. The committed BENCH_timing.json's error bound and
 # cost-reduction floors are checked in the bench gates stage.
 stage "timing (fast==full gate + determinism)"
-for w in kernel:quicksort 429.mcf; do
-    ./target/release/darco-run "$w" --scale 1/64 --timing --timing-mode full \
-        --json > "$smoke_dir/timing-full.json"
-    ./target/release/darco-run "$w" --scale 1/64 --timing --timing-mode fast \
-        --json > "$smoke_dir/timing-fast.json"
-    full_cycles=$(grep -o '"cycles":[0-9]*' "$smoke_dir/timing-full.json" | head -1 | cut -d: -f2)
-    fast_cycles=$(grep -o '"cycles":[0-9]*' "$smoke_dir/timing-fast.json" | head -1 | cut -d: -f2)
-    test "$full_cycles" = "$fast_cycles"         # accelerated path is exact
+for run in kernel:quicksort@1/64 429.mcf@1/64 breakable@1/4; do
+    w=${run%@*}
+    scale=${run#*@}
+    for mode in full fast; do
+        ./target/release/darco-run "$w" --scale "$scale" --timing --timing-mode $mode \
+            --json > "$smoke_dir/timing-$mode.json"
+        { grep -o '"timing":{[^}]*}' "$smoke_dir/timing-$mode.json"
+          grep -o '"timing\.[a-z0-9_]*":[^,}]*' "$smoke_dir/timing-$mode.json"
+        } > "$smoke_dir/timing-$mode.txt"
+    done
+    test "$(wc -l < "$smoke_dir/timing-full.txt")" -ge 23  # the object + every timing.* metric
+    cmp "$smoke_dir/timing-full.txt" "$smoke_dir/timing-fast.txt"  # accelerated path is exact
     memo=$(grep -o '"memo_events":[0-9]*' "$smoke_dir/timing-fast.json" | cut -d: -f2)
     test "$memo" -gt 0                           # ...and actually took the fast path
 done
